@@ -144,17 +144,18 @@ def expected_effect(name: str) -> str:
 
 
 # Counts and ratios measured where the work happens, exported next to the
-# span metrics: (name, unit, better, what it counts).
+# span metrics: (name, unit, better, what it counts).  A traced pass runs
+# until its time is used up, so every total is divided by the pass's op
+# count: a faster layer then moves only its own figures.
 COUNTS = [
-    ("ledger.address.calls_per_op", "count", "lower", "Account.address calls per op"),
     (
         "controlplane.collect.events_scanned",
         "count",
         "lower",
         "ReservationDelivered events pending for the host per collect call",
     ),
-    ("ledger.tx_aborted", "count", "lower", "submitted transactions that aborted"),
-    ("controlplane.undeliverable", "count", "lower", "redeem requests an AS declined"),
+    ("ledger.tx_aborted_per_op", "count", "lower", "submitted transactions that aborted"),
+    ("controlplane.undeliverable_per_op", "count", "lower", "redeem requests an AS declined"),
     ("marketdata.quote_found_ratio", "ratio", "higher", "quotes that found a cover / quotes"),
     ("transfers.feasible_ratio", "ratio", "higher", "feasible transfer plans / plans"),
     ("hummingbird.priority_ratio", "ratio", "higher", "router verdicts with priority / verdicts"),
@@ -164,11 +165,11 @@ COUNTS = [
         "higher",
         "payload bytes with priority at every hop per second of traced ops",
     ),
-    ("router.demoted_stale", "count", "lower", "flyover packets demoted as stale"),
-    ("router.demoted_inactive", "count", "lower", "flyover packets demoted as not active"),
-    ("router.demoted_overuse", "count", "lower", "flyover packets demoted by the policer"),
-    ("router.demoted_duplicate", "count", "lower", "flyover packets demoted as duplicates"),
-    ("router.dropped", "count", "lower", "packets dropped by a router"),
+    ("router.demoted_stale_per_op", "count", "lower", "flyover packets demoted as stale"),
+    ("router.demoted_inactive_per_op", "count", "lower", "flyover packets demoted as not active"),
+    ("router.demoted_overuse_per_op", "count", "lower", "flyover packets demoted by the policer"),
+    ("router.demoted_duplicate_per_op", "count", "lower", "flyover packets demoted as duplicates"),
+    ("router.dropped_per_op", "count", "lower", "packets dropped by a router"),
     ("fail_ratio", "ratio", "lower", "failed ops / attempted ops, output checks included"),
     ("trace.untraced_ops_per_s", "1/s", "higher", "ops per second of the untraced pass"),
     ("trace.traced_ops_per_s", "1/s", "higher", "ops per second of the traced pass"),
@@ -182,7 +183,9 @@ def per_layer_metrics() -> list[dict]:
     spans = [
         {"name": f"{span}.{field}", "unit": unit, "better": "lower"}
         for span in span_names()
-        for field, unit in (("calls", "count"), ("busy_s", "s"), ("self_s", "s"))
+        for field, unit in (
+            ("calls_per_op", "count"), ("busy_ms_per_op", "ms"), ("self_ms_per_op", "ms")
+        )
     ]
     return spans + [
         {"name": name, "unit": unit, "better": better} for name, unit, better, _ in COUNTS

@@ -136,10 +136,13 @@ class MarketChurn:
     # among the exact-DP plans.
     tails = {"op": 97, "read": 97, "write": 88}
     max_blocks = None
+    # Each block ticks the clock TICK_S and restocks up to 90 minutes ahead,
+    # so 50 blocks (100 sim minutes) keep every listing, quote and plan
+    # inside the 4 h asset horizon; a longer run gets a fresh deployment.
+    blocks_per_env = 50
 
-    def __init__(self, min_blocks: int = 14, blocks_per_env: int = 50, setup_repeats: int = 3) -> None:
+    def __init__(self, min_blocks: int = 14, setup_repeats: int = 3) -> None:
         self.min_blocks = min_blocks
-        self.blocks_per_env = blocks_per_env
         self.setup_repeats = setup_repeats
 
     def setup(self, seed: int) -> Env:

@@ -159,35 +159,46 @@ def peak_rss_mb() -> float:
 
 
 def end_to_end(workload, measured: Pass) -> dict:
-    """The untraced metrics, each ``{"value", "unit"}``."""
-    tails = workload.tails
+    """The untraced metrics, each ``{"value", "unit"}``.
+
+    Read and write latencies come only from ops that completed; when every
+    op of a kind raised, its metrics are left out (the run has failed).
+    """
     metrics = {
         "setup_s": (statistics.median(measured.setup_s), "s"),
         "ops_per_s": (measured.ops_per_s, "1/s"),
-        "op_ms_p50": (1e3 * statistics.median(measured.op_s), "ms"),
-        "op_ms_tail": (1e3 * percentile(measured.op_s, tails["op"]), "ms"),
-        "read_ms_p50": (1e3 * statistics.median(measured.read_s), "ms"),
-        "read_ms_tail": (1e3 * percentile(measured.read_s, tails["read"]), "ms"),
-        "write_ms_p50": (1e3 * statistics.median(measured.write_s), "ms"),
-        "write_ms_tail": (1e3 * percentile(measured.write_s, tails["write"]), "ms"),
-        "peak_rss_mb": (peak_rss_mb(), "MB"),
     }
+    for kind, samples in (("op", measured.op_s), ("read", measured.read_s),
+                          ("write", measured.write_s)):
+        if samples:
+            metrics[f"{kind}_ms_p50"] = (1e3 * statistics.median(samples), "ms")
+            metrics[f"{kind}_ms_tail"] = (1e3 * percentile(samples, workload.tails[kind]), "ms")
+    metrics["peak_rss_mb"] = (peak_rss_mb(), "MB")
     return {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()}
 
 
 def per_layer(untraced: Pass, traced: Pass, tracer: Tracer) -> tuple[dict, dict]:
-    """Span and count metrics of the traced pass; also the span summary."""
+    """Span and count metrics of the traced pass; also the span summary.
+
+    The traced pass runs until its time is used up, so a faster layer fits
+    more ops into it: every total is divided by the pass's op count.
+    """
     summary = tracer.summary()
-    values = {}
-    for name in layers.span_names():
-        entry = summary.get(name, {"calls": 0, "busy_s": 0.0, "self_s": 0.0})
-        for field in ("calls", "busy_s", "self_s"):
-            values[f"{name}.{field}"] = entry[field]
     ops = len(traced.op_s)
     counters = traced.counters
 
     def ratio(numerator, denominator) -> float:
         return numerator / denominator if denominator else 0.0
+
+    def per_op(counter: str) -> float:
+        return ratio(counters.get(counter, 0), ops)
+
+    values = {}
+    for name in layers.span_names():
+        entry = summary.get(name, {"calls": 0, "busy_s": 0.0, "self_s": 0.0})
+        values[f"{name}.calls_per_op"] = ratio(entry["calls"], ops)
+        values[f"{name}.busy_ms_per_op"] = ratio(1e3 * entry["busy_s"], ops)
+        values[f"{name}.self_ms_per_op"] = ratio(1e3 * entry["self_s"], ops)
 
     def ok_ratio(name: str) -> float:
         entry = summary.get(name)
@@ -197,23 +208,22 @@ def per_layer(untraced: Pass, traced: Pass, tracer: Tracer) -> tuple[dict, dict]
     submits = summary.get("ledger.submit", {"calls": 0, "ok": 0})
     verdicts = counters.get("router.verdicts", 0)
     values |= {
-        "ledger.address.calls_per_op": ratio(summary.get("ledger.address", {}).get("calls", 0), ops),
         "controlplane.collect.events_scanned": ratio(
             counters.get("collect.events_pending", 0), counters.get("collect.calls", 0)
         ),
-        "ledger.tx_aborted": submits["calls"] - submits["ok"],
-        "controlplane.undeliverable": counters.get("controlplane.undeliverable", 0),
+        "ledger.tx_aborted_per_op": ratio(submits["calls"] - submits["ok"], ops),
+        "controlplane.undeliverable_per_op": per_op("controlplane.undeliverable"),
         "marketdata.quote_found_ratio": ok_ratio("marketdata.quote"),
         "transfers.feasible_ratio": ok_ratio("transfers.plan"),
         "hummingbird.priority_ratio": ratio(counters.get("router.priority", 0), verdicts),
         "hummingbird.priority_payload_bytes_per_s": ratio(
             counters.get("priority_payload_bytes", 0), traced.busy_s
         ),
-        "router.demoted_stale": counters.get("router.demoted_stale", 0),
-        "router.demoted_inactive": counters.get("router.demoted_inactive", 0),
-        "router.demoted_overuse": counters.get("router.demoted_overuse", 0),
-        "router.demoted_duplicate": counters.get("router.demoted_duplicate", 0),
-        "router.dropped": counters.get("router.dropped", 0),
+        "router.demoted_stale_per_op": per_op("router.demoted_stale"),
+        "router.demoted_inactive_per_op": per_op("router.demoted_inactive"),
+        "router.demoted_overuse_per_op": per_op("router.demoted_overuse"),
+        "router.demoted_duplicate_per_op": per_op("router.demoted_duplicate"),
+        "router.dropped_per_op": per_op("router.dropped"),
         "fail_ratio": ratio(traced.failed, traced.attempted),
         "trace.untraced_ops_per_s": untraced.ops_per_s,
         "trace.traced_ops_per_s": traced.ops_per_s,

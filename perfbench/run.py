@@ -5,13 +5,14 @@ Usage (from the root of a checkout)::
 
     python3 perfbench/run.py --workload lifecycle --seed 1 --seconds 25 --trace 0
 
-Workloads: ``lifecycle``, ``market_churn``, ``datapath`` (see
-``perfbench/README.md``).  ``--seed`` generates the workload's inputs;
-the program only ever sees those inputs.  ``--trace 0`` measures the
-end-to-end metrics untraced; ``--trace 1`` runs an untraced pass and then
-a traced pass of the same length, prints the per-layer table and writes
-the spans to ``perfbench/traces/``.  The last line of standard output is
-one JSON object: ``correct``, ``attempted``, ``failed`` and ``metrics``.
+Workloads: ``lifecycle`` and ``market_churn``, which ``BENCHMARK.json``
+lists, and ``datapath``, run by hand (see ``perfbench/README.md``).
+``--seed`` generates the workload's inputs; the program only ever sees
+those inputs.  ``--trace 0`` measures the end-to-end metrics untraced;
+``--trace 1`` runs an untraced pass and then a traced pass of the same
+length, prints the per-layer table and writes the spans to
+``perfbench/traces/``.  The last line of standard output is one JSON
+object: ``correct``, ``attempted``, ``failed`` and ``metrics``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ def main(argv=None) -> int:
 
 def untraced_run(runner, workload, args) -> dict:
     measured = runner.run_pass(workload, args.seed, args.seconds)
+    report_errors(measured)
     metrics = runner.end_to_end(workload, measured)
     print(f"workload {workload.name}, seed {args.seed}: {len(measured.op_s)} ops "
           f"({len(measured.read_s)} read, {len(measured.write_s)} write samples), "
@@ -72,7 +74,6 @@ def untraced_run(runner, workload, args) -> dict:
     print(f"  {'fail_ratio':<14} {fail_ratio:>14.4f} ({measured.failed}/{measured.attempted})")
     priority_bytes = measured.counters.get("priority_payload_bytes", 0)
     print(f"  {'priority_payload_bytes_per_s':<14} {priority_bytes / measured.busy_s:>14.1f} B/s")
-    report_errors(measured)
     return {
         "correct": measured.failed == 0,
         "attempted": measured.attempted,
@@ -92,6 +93,8 @@ def traced_run(runner, workload, args) -> dict:
         traced = runner.run_pass(workload, args.seed, args.seconds, tracer)
     finally:
         tracer.uninstall()
+    report_errors(untraced)
+    report_errors(traced)
     metrics, summary = runner.per_layer(untraced, traced, tracer)
     out_dir = HERE / "traces"
     out_dir.mkdir(exist_ok=True)
@@ -99,8 +102,6 @@ def traced_run(runner, workload, args) -> dict:
     tracer.write(spans_file)
     print(runner.layer_table(workload.name, summary, metrics))
     print(f"spans: {spans_file.relative_to(HERE.parent)} ({len(tracer.spans)} spans)")
-    report_errors(untraced)
-    report_errors(traced)
     return {
         "correct": untraced.failed == 0 and traced.failed == 0,
         "attempted": untraced.attempted + traced.attempted,
