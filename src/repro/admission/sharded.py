@@ -82,10 +82,8 @@ class ShardedCalendar:
     def __init__(self, capacity_kbps: int, shard_seconds: float = 86_400.0) -> None:
         if capacity_kbps <= 0:
             raise ValueError("capacity must be positive")
-        if not shard_seconds > 0:
-            raise ValueError("shard width must be positive")
         self.capacity_kbps = int(capacity_kbps)
-        self.shard_seconds = float(shard_seconds)
+        self.shard_seconds = self.check_width(shard_seconds)
         self._shards: dict[int, CapacityCalendar] = {}
         self._commitments: dict[int, Commitment] = {}
         self._by_end_shard: dict[int, set[int]] = {}  # end shard key -> ids
@@ -94,6 +92,18 @@ class ShardedCalendar:
         #: Lifetime count of whole shards discarded by :meth:`expire`
         #: (telemetry reads this as a monotonic counter).
         self.shards_dropped = 0
+
+    @staticmethod
+    def check_width(shard_seconds: float) -> float:
+        """Validate a shard width and return it as a float.
+
+        An infinite width would put every commitment in no shard at all
+        (``floor(t / inf)`` is 0 but ``ceil(t / inf) - 1`` is -1), so
+        admission would see an empty calendar and oversell.
+        """
+        if not 0 < shard_seconds < math.inf:
+            raise ValueError("shard width must be positive and finite")
+        return float(shard_seconds)
 
     # Same validation rules (and error messages) as the monolithic calendar.
     _check_window = staticmethod(CapacityCalendar._check_window)
@@ -591,10 +601,7 @@ class ShardedCalendar:
         Canonicalizes the shard map (each shard's own
         :meth:`CapacityCalendar.fingerprint`), the top-level commitment
         records, the end-shard index, and the piece projections; excludes
-        the id counter and per-shard numpy caches.  The multiprocess
-        engine's facade produces the *same* tuple shape from worker-held
-        shards, which is what lets the crash-recovery suite compare
-        calendars across process boundaries.
+        the id counter and per-shard numpy caches.
         """
         return (
             "sharded",

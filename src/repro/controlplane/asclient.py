@@ -132,7 +132,6 @@ class AsService:
         admission: AdmissionController | None = None,
         interface_capacity_kbps: int = DEFAULT_INTERFACE_CAPACITY_KBPS,
         shard_seconds: float | None = None,
-        engine=None,
     ) -> None:
         self.autonomous_system = autonomous_system
         self.account = account
@@ -148,9 +147,7 @@ class AsService:
         self.admission = (
             admission
             if admission is not None
-            else AdmissionController(
-                interface_capacity_kbps, shard_seconds=shard_seconds, engine=engine
-            )
+            else AdmissionController(interface_capacity_kbps, shard_seconds=shard_seconds)
         )
         # (request_id, reason) pairs this AS declined to serve.
         self.undeliverable: list[tuple[str, str]] = []
@@ -206,10 +203,6 @@ class AsService:
     @property
     def isd_as(self):
         return self.autonomous_system.isd_as
-
-    def close(self) -> None:
-        """Release the admission controller's shard-engine resources."""
-        self.admission.close()
 
     # -- registration -----------------------------------------------------------
 

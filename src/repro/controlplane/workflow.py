@@ -120,15 +120,6 @@ class MarketDeployment:
     def service(self, isd_as) -> AsService:
         return self.services[isd_as]
 
-    def close(self) -> None:
-        """Shut down every AS service's shard-engine backend.
-
-        A no-op for in-process engines; required to reap worker processes
-        when services run on the multiprocess backend.
-        """
-        for service in self.services.values():
-            service.close()
-
     def new_host(
         self,
         funding_sui: float = 100.0,
@@ -183,7 +174,6 @@ def deploy_market(
     admission_policy=None,
     pricer=None,
     shard_seconds: float | None = None,
-    engine=None,
     auction_interfaces=None,
     reclamation: dict | None = None,
 ) -> MarketDeployment:
@@ -199,9 +189,6 @@ def deploy_market(
     ``admission_policy`` and ``pricer`` configure each AS's
     :class:`~repro.admission.AdmissionController`; ``shard_seconds``
     switches its calendars to time-sharded ones (None = monolithic);
-    ``engine`` picks the shard-engine backend behind those calendars (an
-    :class:`~repro.shardengine.EngineSpec`, a kind string such as
-    ``"multiprocess"``, or None to derive it from ``shard_seconds``);
     ``auction_interfaces`` (``True`` or a set of ``(interface,
     is_ingress)`` pairs) puts those interface directions into sealed-bid
     auction mode — the seed listings are still posted, but
@@ -262,7 +249,6 @@ def deploy_market(
                 policy=admission_policy,
                 pricer=pricer,
                 shard_seconds=shard_seconds,
-                engine=engine,
                 auction_interfaces=auction_interfaces,
             ),
         )

@@ -1,7 +1,6 @@
 """Declarative marketplace queries and the records the indexer serves.
 
-The v2 discovery API replaces the 9-positional-argument
-``find_listing`` call with small dataclasses:
+Discovery requests and answers are small dataclasses:
 
 * :class:`ListingQuery` — one interface direction's requirement: a time
   window, a bandwidth, optional start-time slack (``flex_start``), an
@@ -151,7 +150,7 @@ class Candidate:
     expiry: int
 
     def as_tuple(self) -> tuple[str, int, int, int]:
-        """Legacy ``find_listing`` return shape (id, price, start, expiry)."""
+        """The ``(listing id, price in MIST, start, expiry)`` tuple."""
         return (self.listing.listing_id, self.price_mist, self.start, self.expiry)
 
 

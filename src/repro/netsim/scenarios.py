@@ -332,7 +332,6 @@ def flex_market_experiment(
     seed: int = 1,
     prf_factory: PrfFactory = SIM_PRF,
     shard_seconds: float | None = None,
-    engine=None,
     telemetry: ExperimentTelemetry | None = None,
 ) -> FlexMarketResult:
     """Price-reactive purchasing end to end: buy the valley, not the peak.
@@ -360,13 +359,13 @@ def flex_market_experiment(
                 num_ases, probe_rate_bps, flood_rate_bps, link_rate_bps,
                 window_seconds, flex_values, market_bandwidth_kbps,
                 base_price_micromist, duration, payload_bytes, seed,
-                prf_factory, shard_seconds, engine, telemetry,
+                prf_factory, shard_seconds, telemetry,
             )
     return _flex_market_experiment_impl(
         num_ases, probe_rate_bps, flood_rate_bps, link_rate_bps,
         window_seconds, flex_values, market_bandwidth_kbps,
         base_price_micromist, duration, payload_bytes, seed, prf_factory,
-        shard_seconds, engine, None,
+        shard_seconds, None,
     )
 
 
@@ -384,7 +383,6 @@ def _flex_market_experiment_impl(
     seed: int,
     prf_factory: PrfFactory,
     shard_seconds: float | None,
-    engine,
     telemetry: ExperimentTelemetry | None,
 ) -> FlexMarketResult:
     from repro.admission import ScarcityPricer
@@ -416,7 +414,6 @@ def _flex_market_experiment_impl(
         pricer=ScarcityPricer(),
         prf_factory=prf_factory,
         shard_seconds=shard_seconds,
-        engine=engine,
     )
     peak = (deploy_time + 600, deploy_time + 600 + window_seconds)
 
@@ -572,7 +569,6 @@ def _flex_market_experiment_impl(
                 "curve_prices": result.curve_prices,
             }
         )
-    deployment.close()
     return result
 
 
@@ -675,7 +671,6 @@ def auction_experiment(
     seed: int = 1,
     prf_factory: PrfFactory = SIM_PRF,
     shard_seconds: float | None = None,
-    engine=None,
     max_share_fraction: float = 0.5,
     telemetry: ExperimentTelemetry | None = None,
 ) -> AuctionExperimentResult:
@@ -720,12 +715,12 @@ def auction_experiment(
                 topology, path, num_buyers, per_buyer_kbps, link_rate_bps,
                 reservable_fraction, duration, payload_bytes,
                 base_price_micromist, seed, prf_factory, shard_seconds,
-                engine, max_share_fraction, telemetry,
+                max_share_fraction, telemetry,
             )
     return _auction_experiment_impl(
         topology, path, num_buyers, per_buyer_kbps, link_rate_bps,
         reservable_fraction, duration, payload_bytes, base_price_micromist,
-        seed, prf_factory, shard_seconds, engine, max_share_fraction, None,
+        seed, prf_factory, shard_seconds, max_share_fraction, None,
     )
 
 
@@ -742,7 +737,6 @@ def _auction_experiment_impl(
     seed: int,
     prf_factory: PrfFactory,
     shard_seconds: float | None,
-    engine,
     max_share_fraction: float,
     telemetry: ExperimentTelemetry | None,
 ) -> AuctionExperimentResult:
@@ -783,7 +777,6 @@ def _auction_experiment_impl(
     # -- posted arm: arrival order vs the scarcity curve -----------------------
     posted = AdmissionController(
         capacity_kbps, pricer=ScarcityPricer(), shard_seconds=shard_seconds,
-        engine=engine,
     )
     posted_outcomes: list[tuple[bool, int, int, str]] = []
     posted_revenue = 0
@@ -810,7 +803,6 @@ def _auction_experiment_impl(
         pricer=ScarcityPricer(),
         policy=ProportionalShare(max_share_fraction),
         shard_seconds=shard_seconds,
-        engine=engine,
         auction_interfaces=True,
     )
     book = auctioneer.open_auction(
@@ -933,8 +925,6 @@ def _auction_experiment_impl(
                 "oversold": result.oversold,
             }
         )
-    posted.close()
-    auctioneer.close()
     return result
 
 
@@ -1134,7 +1124,6 @@ def path_contention_experiment(
     window_seconds: int = 600,
     base_price_micromist: int = 50,
     seed: int = 1,
-    engine=None,
     telemetry: ExperimentTelemetry | None = None,
 ) -> PathContentionResult:
     """Whole paths contend for a mid-path bottleneck, admitted atomically.
@@ -1165,11 +1154,11 @@ def path_contention_experiment(
         with telemetry.activate():
             return _path_contention_experiment_impl(
                 topology, path, num_buyers, per_buyer_kbps, window_seconds,
-                base_price_micromist, seed, engine, telemetry,
+                base_price_micromist, seed, telemetry,
             )
     return _path_contention_experiment_impl(
         topology, path, num_buyers, per_buyer_kbps, window_seconds,
-        base_price_micromist, seed, engine, None,
+        base_price_micromist, seed, None,
     )
 
 
@@ -1181,7 +1170,6 @@ def _path_contention_experiment_impl(
     window_seconds: int,
     base_price_micromist: int,
     seed: int,
-    engine,
     telemetry: ExperimentTelemetry | None,
 ) -> PathContentionResult:
     from repro.admission import (
@@ -1217,7 +1205,6 @@ def _path_contention_experiment_impl(
             bottleneck_capacity,
             policy=ProportionalShare(0.5),
             shard_seconds=float(window_seconds),
-            engine=engine,  # the sharded hop is the one the backend can move
         )),
         ("auction/scarcity/monolithic", AdmissionController(
             wide_capacity, pricer=ScarcityPricer(), auction_interfaces=True,
@@ -1336,8 +1323,6 @@ def _path_contention_experiment_impl(
                 "path_auction_winners": result.path_auction_winners,
             }
         )
-    for _, controller in configs:
-        controller.close()
     return result
 
 
@@ -1464,7 +1449,6 @@ def contention_experiment(
     pricer=None,
     policy=None,
     shard_seconds: float | None = None,
-    engine=None,
     telemetry: ExperimentTelemetry | None = None,
 ) -> ContentionResult:
     """Many buyers compete for one bottleneck interface's capacity.
@@ -1489,12 +1473,12 @@ def contention_experiment(
                 topology, path, num_buyers, per_buyer_kbps, link_rate_bps,
                 reservable_fraction, duration, payload_bytes,
                 base_price_micromist, seed, prf_factory, pricer, policy,
-                shard_seconds, engine, telemetry,
+                shard_seconds, telemetry,
             )
     return _contention_experiment_impl(
         topology, path, num_buyers, per_buyer_kbps, link_rate_bps,
         reservable_fraction, duration, payload_bytes, base_price_micromist,
-        seed, prf_factory, pricer, policy, shard_seconds, engine, None,
+        seed, prf_factory, pricer, policy, shard_seconds, None,
     )
 
 
@@ -1513,7 +1497,6 @@ def _contention_experiment_impl(
     pricer,
     policy,
     shard_seconds: float | None,
-    engine,
     telemetry: ExperimentTelemetry | None,
 ) -> ContentionResult:
     from repro.admission import AdmissionController, ScarcityPricer
@@ -1531,7 +1514,6 @@ def _contention_experiment_impl(
         policy=policy,
         pricer=pricer if pricer is not None else ScarcityPricer(),
         shard_seconds=shard_seconds,
-        engine=engine,
     )
 
     start = int(simulation.clock.now())
@@ -1620,7 +1602,6 @@ def _contention_experiment_impl(
                 ),
             }
         )
-    controller.close()
     return result
 
 
@@ -1991,5 +1972,4 @@ def _reclamation_arm(
         else 1.0,
         bottleneck_utilization=link.utilization(duration),
     )
-    controller.close()
     return result

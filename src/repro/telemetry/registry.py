@@ -297,57 +297,6 @@ class MetricsRegistry:
     def families(self) -> Iterator[_Family]:
         yield from (self._families[name] for name in sorted(self._families))
 
-    def merge(self, rows) -> int:
-        """Fold a snapshot of another registry into this one.
-
-        ``rows`` is the JSON-safe family list
-        :func:`repro.telemetry.export.snapshot` produces — the form
-        shard-engine workers ship their per-process registries in, so the
-        parent's dashboards see one coherent registry under the
-        multiprocess backend.  Counters and histogram counts/sums *add*;
-        gauges take the incoming value (last writer wins — worker gauges
-        are point-in-time readings, and summing them would double-count
-        re-merges).  Families are declared on demand; an existing family
-        with a mismatched schema raises :class:`ValueError`.
-
-        Returns the number of label children merged.
-        """
-        merged = 0
-        for row in rows:
-            kind = row["kind"]
-            labelnames = tuple(row["labelnames"])
-            help_text = row.get("help", "")
-            if kind == "counter":
-                family = self.counter(row["name"], help_text, labelnames)
-                for child_row in row["children"]:
-                    family.labels(*child_row["labels"]).value += child_row["value"]
-                    merged += 1
-            elif kind == "gauge":
-                family = self.gauge(row["name"], help_text, labelnames)
-                for child_row in row["children"]:
-                    family.labels(*child_row["labels"]).value = child_row["value"]
-                    merged += 1
-            elif kind == "histogram":
-                family = self.histogram(
-                    row["name"], help_text, labelnames, buckets=row["buckets"]
-                )
-                if [float(b) for b in family.bounds] != [
-                    float(b) for b in row["buckets"]
-                ]:
-                    raise ValueError(
-                        f"metric {row['name']!r} merged with different buckets"
-                    )
-                for child_row in row["children"]:
-                    child = family.labels(*child_row["labels"])
-                    for index, count in enumerate(child_row["counts"]):
-                        child.counts[index] += count
-                    child.sum += child_row["sum"]
-                    child.count += child_row["count"]
-                    merged += 1
-            else:
-                raise ValueError(f"unknown metric kind {kind!r}")
-        return merged
-
 
 class _NullInstrument:
     """No-op counter/gauge/histogram: every method is an empty call."""

@@ -243,13 +243,19 @@ class TestSurgery:
 class TestWiring:
     def test_controller_shard_knob(self):
         monolithic = AdmissionController(1000)
-        assert isinstance(monolithic.calendar(1, True), CapacityCalendar)
+        assert type(monolithic.calendar(1, True)) is CapacityCalendar
         controller = AdmissionController(1000, shard_seconds=3600.0)
         calendar = controller.calendar(1, True)
-        assert isinstance(calendar, ShardedCalendar)
+        assert type(calendar) is ShardedCalendar
         assert calendar.shard_seconds == 3600.0
-        with pytest.raises(ValueError):
-            AdmissionController(1000, shard_seconds=0)
+        assert controller.calendar(1, True) is calendar  # built once per key
+        # An infinite width puts every commitment in no shard, so admission
+        # would see an empty calendar and oversell the link.
+        for width in (0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                AdmissionController(1000, shard_seconds=width)
+            with pytest.raises(ValueError):
+                ShardedCalendar(1000, shard_seconds=width)
 
     def test_policies_run_against_sharded_calendars(self):
         controller = AdmissionController(

@@ -1,18 +1,16 @@
-"""Property: every shard-engine backend IS the monolithic calendar.
+"""Property: both calendar layouts ARE the monolithic calendar.
 
 Hypothesis drives arbitrary interleavings of commit / commit_batch
 (tracked and untracked) / release / split_time / split_bandwidth / fuse /
-transfer / expire against an engine-built calendar (shard width chosen
-so windows routinely span shard boundaries) and a monolithic
+transfer / expire against a controller-built calendar (shard width
+chosen so windows routinely span shard boundaries) and a monolithic
 :class:`CapacityCalendar`, and checks after every step that
 ``peak_commitment`` / ``bulk_peak`` / ``tag_peak`` / ``headroom`` answer
 identically — mirroring ``tests/marketdata/test_indexer_property.py``.
 
-The machine is parametrized over the three shard-engine backends
-(monolithic, in-process sharded, multiprocess) via the ``SPEC`` class
-attribute, so the same rule set exercises the whole boundary; the
-multiprocess run keeps example counts low because every example forks a
-worker pool.
+The machine is parametrized over the two layouts an
+:class:`AdmissionController` builds (monolithic, sharded) via the
+``SHARD_SECONDS`` class attribute, so the same rule set exercises both.
 
 One deliberate divergence is excluded by construction: ``expire(now)``
 drops whole shards behind ``now``, forgetting the *history* of
@@ -28,8 +26,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.admission import CapacityCalendar
-from repro.shardengine import EngineSpec, build_engine
+from repro.admission import AdmissionController, CapacityCalendar
 
 SHARD = 100.0
 HORIZON = 1000  # 10 shards' worth of commitment starts
@@ -40,20 +37,16 @@ TAGS = ("alice", "bob", "")
 
 
 class ShardedDifferentialMachine(RuleBasedStateMachine):
-    SPEC = EngineSpec(kind="sharded", shard_seconds=SHARD)
+    SHARD_SECONDS: float | None = SHARD
 
     @initialize()
     def setup(self) -> None:
         self.mono = CapacityCalendar(CAPACITY)
-        self.engine = build_engine(self.SPEC)
-        self.shard = self.engine.calendar(("prop", 0, True), CAPACITY)
-        self.handles: list[tuple[int, int]] = []  # (mono id, engine id)
+        controller = AdmissionController(CAPACITY, shard_seconds=self.SHARD_SECONDS)
+        self.shard = controller.calendar(0, True)
+        self.handles: list[tuple[int, int]] = []  # (mono id, layout id)
         self.watermark = 0.0
         self.rng = random.Random(4321)
-
-    def teardown(self) -> None:
-        if hasattr(self, "engine"):
-            self.engine.close()
 
     # -- helpers ---------------------------------------------------------------
 
@@ -210,11 +203,7 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
 
 
 class MonolithicEngineMachine(ShardedDifferentialMachine):
-    SPEC = EngineSpec(kind="monolithic")
-
-
-class MultiprocessEngineMachine(ShardedDifferentialMachine):
-    SPEC = EngineSpec(kind="multiprocess", shard_seconds=SHARD, num_workers=2)
+    SHARD_SECONDS = None
 
 
 ShardedDifferentialMachine.TestCase.settings = settings(
@@ -223,10 +212,5 @@ ShardedDifferentialMachine.TestCase.settings = settings(
 MonolithicEngineMachine.TestCase.settings = settings(
     max_examples=10, stateful_step_count=20, deadline=None
 )
-# Every multiprocess example forks a 2-worker pool: keep the count small.
-MultiprocessEngineMachine.TestCase.settings = settings(
-    max_examples=5, stateful_step_count=15, deadline=None
-)
 TestShardedMatchesMonolithic = ShardedDifferentialMachine.TestCase
 TestMonolithicEngineMatches = MonolithicEngineMachine.TestCase
-TestMultiprocessEngineMatches = MultiprocessEngineMachine.TestCase

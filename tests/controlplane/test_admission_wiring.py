@@ -11,7 +11,8 @@ from repro.admission import (
     ScarcityPricer,
 )
 from repro.clock import SimClock
-from repro.controlplane import HopRequirement, deploy_market, purchase_path
+from repro.controlplane import deploy_market, purchase_path
+from repro.marketdata import PathSpec
 from repro.scion import PathLookup, as_crossings, linear_topology, run_beaconing
 
 
@@ -124,9 +125,9 @@ class TestDeliveryAdmission:
         start, expiry = T0 + 7200, T0 + 7800
         for _ in range(2):
             host = deployment.new_host(funding_sui=100)
-            plan = host.plan_purchase(
+            plan = host.plan_path(
                 deployment.marketplace,
-                [HopRequirement.from_crossing(crossing, start, expiry, 4000)],
+                PathSpec.from_crossings([crossing], start, expiry, 4000),
             )
             assert host.atomic_buy_and_redeem(deployment.marketplace, plan).effects.ok
         # Shrink the AS's live capacity so only the first request fits.

@@ -5,9 +5,10 @@ import pytest
 from tests.conftest import T0, addresses, walk_path
 
 from repro.clock import SimClock
-from repro.controlplane import ListingNotFound, deploy_market, purchase_path
+from repro.controlplane import deploy_market, purchase_path
 from repro.controlplane.pki import CpPki
 from repro.hummingbird import HummingbirdRouter, HummingbirdSource
+from repro.marketdata import ListingQuery
 from repro.scion import PathLookup, as_crossings, linear_topology, run_beaconing
 from repro.scion.addresses import IsdAs
 from repro.scion.router import Action
@@ -135,16 +136,15 @@ class TestPurchaseWorkflow:
 
     def test_unknown_as_listing_fails(self, world):
         host = world["deployment"].new_host(funding_sui=10)
-        with pytest.raises(ListingNotFound):
-            host.find_listing(
-                world["deployment"].marketplace,
-                IsdAs(9, 9),
-                1,
-                True,
-                T0,
-                T0 + 600,
-                1000,
-            )
+        query = ListingQuery(
+            isd_as=IsdAs(9, 9),
+            interface=1,
+            is_ingress=True,
+            start=T0,
+            expiry=T0 + 600,
+            bandwidth_kbps=1000,
+        )
+        assert host.indexer(world["deployment"].marketplace).best(query) is None
 
 
 class TestPki:

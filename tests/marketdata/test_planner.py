@@ -11,6 +11,7 @@ from repro.marketdata import (
     BudgetExceeded,
     IncompatibleGranularity,
     ListingNotFound,
+    ListingQuery,
     MarketIndexer,
     PathSpec,
     PurchasePlanner,
@@ -327,27 +328,18 @@ class TestMixedGranularity:
         hop = planner.resolve_hop(raw_market.isd_as, 1, 2, 60, 120, 1000)
         assert (hop.start, hop.expiry) == (0, 3660)  # lcm(60, 61)
 
-    def test_find_listing_shim_keeps_v1_exceptions(self, raw_market):
-        """Degenerate requests raise ListingNotFound like v1, not ValueError."""
-        import warnings
-
-        from repro.controlplane.hostclient import HostClient
-        from repro.ledger.accounts import Account
-        from repro.ledger.committee import Committee
-        from repro.ledger.executor import LedgerExecutor
-        import random
-
-        from repro.clock import SimClock
-
+    def test_degenerate_listing_query_rejected(self, raw_market):
+        """An empty window or zero bandwidth never reaches the index."""
         raw_market.issue_and_list(1, True, 10_000, 0, 3600)
-        executor = LedgerExecutor(raw_market.ledger, Committee(seed=1), SimClock())
-        host = HostClient(Account.generate(random.Random(5), "h"), executor)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ListingNotFound):
-                host.find_listing(  # empty window
-                    raw_market.marketplace, raw_market.isd_as, 1, True, 600, 600, 1000
-                )
+        indexer = MarketIndexer(raw_market.ledger, raw_market.marketplace)
+        query = dict(isd_as=raw_market.isd_as, interface=1, is_ingress=True)
+        with pytest.raises(ValueError):
+            ListingQuery(**query, start=600, expiry=600, bandwidth_kbps=1000)
+        with pytest.raises(ValueError):
+            ListingQuery(**query, start=0, expiry=600, bandwidth_kbps=0)
+        assert indexer.best(
+            ListingQuery(**query, start=0, expiry=600, bandwidth_kbps=1000)
+        ) is not None
 
     def test_missing_inventory_still_plain_listing_not_found(self, raw_market):
         raw_market.issue_and_list(1, True, 10_000, 0, 3600)

@@ -217,7 +217,7 @@ class TestBruteForceEconomics:
 class TestEconomicFairnessC2:
     def test_sybil_accounts_pay_the_same_total(self, deployment3):
         """C2: N accounts buying N slices pay what 1 account pays for N."""
-        from repro.controlplane import HopRequirement
+        from repro.marketdata import PathSpec
         from repro.scion.beaconing import run_beaconing
         from repro.scion.paths import PathLookup, as_crossings
 
@@ -233,22 +233,20 @@ class TestEconomicFairnessC2:
         start -= start % 60
 
         single = deployment.new_host(funding_sui=100)
-        plan = single.plan_purchase(
+        plan = single.plan_path(
             deployment.marketplace,
-            [HopRequirement.from_crossing(crossing, start, start + 240, 4000)],
+            PathSpec.from_crossings([crossing], start, start + 240, 4000),
         )
         single_price = plan.estimated_price_mist
 
         sybil_total = 0
         for i in range(4):
             sybil = deployment.new_host(funding_sui=100)
-            plan = sybil.plan_purchase(
+            plan = sybil.plan_path(
                 deployment.marketplace,
-                [
-                    HopRequirement.from_crossing(
-                        crossing, start + 240 * (i + 1), start + 240 * (i + 2), 1000
-                    )
-                ],
+                PathSpec.from_crossings(
+                    [crossing], start + 240 * (i + 1), start + 240 * (i + 2), 1000
+                ),
             )
             sybil_total += plan.estimated_price_mist
         # 4 x (1000 kbps x 240 s) == 1 x (4000 kbps x 240 s): same volume,
