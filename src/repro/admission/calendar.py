@@ -92,6 +92,45 @@ class Commitment:
         return self.end - self.start
 
 
+def _batch_arrays(bandwidths, starts, ends) -> tuple:
+    """``commit_batch`` inputs as validated parallel numpy arrays.
+
+    Raises:
+        ValueError: the arrays are not parallel, a window is empty or
+            infinite, or a bandwidth is not positive.
+    """
+    bandwidths = np.asarray(bandwidths, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.float64)
+    if not (bandwidths.shape == starts.shape == ends.shape):
+        raise ValueError("bandwidths, starts and ends must be parallel arrays")
+    if not np.all(ends > starts) or not np.all(bandwidths > 0):
+        raise ValueError("every commitment needs end > start and bandwidth > 0")
+    if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(ends))):
+        raise ValueError("commitment window must be finite")
+    return bandwidths, starts, ends
+
+
+def _fused(ids, a: Commitment, b: Commitment) -> Commitment:
+    """The record recombining ``a`` and ``b``, id drawn from ``ids``.
+
+    Raises:
+        ValueError: ``a`` and ``b`` are the same commitment, or they are
+            neither same-window nor time-adjacent with equal bandwidth.
+    """
+    if a.commitment_id == b.commitment_id:
+        raise ValueError(f"cannot fuse commitment {a.commitment_id} with itself")
+    if (a.start, a.end) == (b.start, b.end):
+        bandwidth_kbps = a.bandwidth_kbps + b.bandwidth_kbps
+        return Commitment(next(ids), bandwidth_kbps, a.start, a.end, a.tag)
+    if a.bandwidth_kbps == b.bandwidth_kbps and (a.end == b.start or b.end == a.start):
+        start, end = min(a.start, b.start), max(a.end, b.end)
+        return Commitment(next(ids), a.bandwidth_kbps, start, end, a.tag)
+    raise ValueError(
+        "commitments neither same-window nor time-adjacent with equal bandwidth"
+    )
+
+
 class CapacityCalendar:
     """Committed-bandwidth-over-time ledger for one interface direction.
 
@@ -287,15 +326,9 @@ class CapacityCalendar:
         individually) — the mode benchmarks and scenario generators use to
         load 10^5..10^6 reservations in one call.
         """
-        bandwidths = np.asarray(bandwidths, dtype=np.int64)
-        starts = np.asarray(starts, dtype=np.float64)
-        ends = np.asarray(ends, dtype=np.float64)
-        if not (bandwidths.shape == starts.shape == ends.shape):
-            raise ValueError("bandwidths, starts and ends must be parallel arrays")
+        bandwidths, starts, ends = _batch_arrays(bandwidths, starts, ends)
         if bandwidths.size == 0:
             return [] if track else None
-        if not np.all(ends > starts) or not np.all(bandwidths > 0):
-            raise ValueError("every commitment needs end > start and bandwidth > 0")
         old_times = np.array(self._times[1:], dtype=np.float64)
         old_deltas = np.diff(np.array(self._levels, dtype=np.int64))
         times = np.concatenate([old_times, starts, ends])
@@ -425,20 +458,7 @@ class CapacityCalendar:
         """Recombine two commitments (time-adjacent or same-window)."""
         a = self._commitments[first_id]
         b = self._commitments[second_id]
-        if (a.start, a.end) == (b.start, b.end):
-            fused = Commitment(
-                next(self._ids), a.bandwidth_kbps + b.bandwidth_kbps, a.start, a.end, a.tag
-            )
-        elif a.bandwidth_kbps == b.bandwidth_kbps and (a.end == b.start or b.end == a.start):
-            fused = Commitment(
-                next(self._ids),
-                a.bandwidth_kbps,
-                min(a.start, b.start),
-                max(a.end, b.end),
-                a.tag,
-            )
-        else:
-            raise ValueError("commitments neither same-window nor time-adjacent with equal bandwidth")
+        fused = _fused(self._ids, a, b)
         for old in (a, b):
             del self._commitments[old.commitment_id]
             self._unindex(old)

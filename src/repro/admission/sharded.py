@@ -48,7 +48,9 @@ from repro.admission.calendar import (
     AdmissionRejected,
     CapacityCalendar,
     Commitment,
+    _batch_arrays,
     _commitment_rows,
+    _fused,
 )
 
 # One projected piece: (the shard calendar holding it, its shard key, the
@@ -303,17 +305,9 @@ class ShardedCalendar:
         total work is proportional to the number of *pieces*, and each
         shard rebuilds only its own (small) step function.
         """
-        bandwidths = np.asarray(bandwidths, dtype=np.int64)
-        starts = np.asarray(starts, dtype=np.float64)
-        ends = np.asarray(ends, dtype=np.float64)
-        if not (bandwidths.shape == starts.shape == ends.shape):
-            raise ValueError("bandwidths, starts and ends must be parallel arrays")
+        bandwidths, starts, ends = _batch_arrays(bandwidths, starts, ends)
         if bandwidths.size == 0:
             return [] if track else None
-        if not np.all(ends > starts) or not np.all(bandwidths > 0):
-            raise ValueError("every commitment needs end > start and bandwidth > 0")
-        if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(ends))):
-            raise ValueError("commitment window must be finite")
         widest = int(np.argmax(ends - starts))
         self._check_span(float(starts[widest]), float(ends[widest]))
         width = self.shard_seconds
@@ -495,22 +489,7 @@ class ShardedCalendar:
         """Recombine two commitments (time-adjacent or same-window)."""
         a = self._commitments[first_id]
         b = self._commitments[second_id]
-        if (a.start, a.end) == (b.start, b.end):
-            fused = Commitment(
-                next(self._ids), a.bandwidth_kbps + b.bandwidth_kbps, a.start, a.end, a.tag
-            )
-        elif a.bandwidth_kbps == b.bandwidth_kbps and (a.end == b.start or b.end == a.start):
-            fused = Commitment(
-                next(self._ids),
-                a.bandwidth_kbps,
-                min(a.start, b.start),
-                max(a.end, b.end),
-                a.tag,
-            )
-        else:
-            raise ValueError(
-                "commitments neither same-window nor time-adjacent with equal bandwidth"
-            )
+        fused = _fused(self._ids, a, b)
         _, a_pieces = self._unregister(first_id)
         _, b_pieces = self._unregister(second_id)
         if b.tag != a.tag:  # the fused record carries a's tag; re-label b's pieces

@@ -216,7 +216,6 @@ class HostClient:
         self._delivery_checkpoint = 0
         self._indexers: dict[str, MarketIndexer] = {}
         self._planners: dict[str, PurchasePlanner] = {}
-        self._shared_indexes: dict[str, object] = {}  # marketplace -> SharedMarketIndex
         # Sealed-bid auction tracking, per marketplace: open books seen via
         # AuctionOpened, settlement payloads seen via AuctionSettled.
         self._auction_cursor: dict[str, int] = {}
@@ -332,29 +331,11 @@ class HostClient:
         self._indexers[marketplace] = indexer
         self._planners.pop(marketplace, None)
 
-    def attach_shared_index(self, marketplace: str, shared) -> None:
-        """Bootstrap this host's future index from a shared checkpoint.
-
-        Unlike :meth:`attach_indexer` (which hands every host the *same*
-        index object), this gives the host a **private**
-        :class:`MarketIndexer` cloned from the
-        :class:`~repro.marketdata.bus.SharedMarketIndex`'s latest
-        checkpoint and fed by its event bus — the host never replays the
-        ledger from genesis, but owns its view.
-        """
-        self._shared_indexes[marketplace] = shared
-        self._indexers.pop(marketplace, None)
-        self._planners.pop(marketplace, None)
-
     def indexer(self, marketplace: str) -> MarketIndexer:
         """This host's index of the marketplace (created on first use)."""
         found = self._indexers.get(marketplace)
         if found is None:
-            shared = self._shared_indexes.get(marketplace)
-            if shared is not None:
-                found = shared.attach()
-            else:
-                found = MarketIndexer(self.executor.ledger, marketplace)
+            found = MarketIndexer(self.executor.ledger, marketplace)
             self._indexers[marketplace] = found
         return found
 

@@ -29,12 +29,7 @@ from repro.controlplane.asclient import AsService, PathSettlementRecord
 from repro.controlplane.hostclient import HostClient, plan_from_quote
 from repro.controlplane.pki import CpPki
 from repro.pathadm import PathAdmission, PathHop
-from repro.marketdata import (
-    MarketIndexer,
-    PathSpec,
-    PurchasePlanner,
-    SharedMarketIndex,
-)
+from repro.marketdata import MarketIndexer, PathSpec, PurchasePlanner
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.hummingbird.reservation import FlyoverReservation
 from repro.ledger.accounts import Account, sui_to_mist
@@ -96,43 +91,20 @@ class MarketDeployment:
         if self.indexer is None:
             self.indexer = MarketIndexer(self.ledger, self.marketplace)
         self._planner = PurchasePlanner(self.indexer)
-        self._shared_index: SharedMarketIndex | None = None
 
     @property
     def planner(self) -> PurchasePlanner:
         """The deployment-wide planner over the shared off-chain index."""
         return self._planner
 
-    @property
-    def shared_index(self) -> SharedMarketIndex:
-        """Checkpointed fan-out of the deployment index (created lazily).
-
-        Hosts created with ``new_host(private_index=True)`` attach here:
-        each gets its own :class:`~repro.marketdata.MarketIndexer` cloned
-        from the latest checkpoint instead of replaying the ledger from
-        genesis, and one :meth:`~repro.marketdata.SharedMarketIndex.pump`
-        keeps every attached view current.
-        """
-        if self._shared_index is None:
-            self._shared_index = SharedMarketIndex(self.indexer)
-        return self._shared_index
-
     def service(self, isd_as) -> AsService:
         return self.services[isd_as]
 
-    def new_host(
-        self,
-        funding_sui: float = 100.0,
-        name: str = "host",
-        private_index: bool = False,
-    ) -> HostClient:
+    def new_host(self, funding_sui: float = 100.0, name: str = "host") -> HostClient:
         account = Account.generate(self.rng, name)
         host = HostClient(account, self.executor, self.rng)
         host.fund(sui_to_mist(funding_sui))
-        if private_index:
-            host.attach_shared_index(self.marketplace, self.shared_index)
-        else:
-            host.attach_indexer(self.marketplace, self.indexer)
+        host.attach_indexer(self.marketplace, self.indexer)
         return host
 
     def path_admission(self, crossings: list[AsCrossing]) -> PathAdmission:

@@ -7,7 +7,6 @@ and a :class:`PurchasePlanner` that turns declarative
 scarcity-aware :class:`PathQuote` answers.
 """
 
-from repro.marketdata.bus import EventBus, SharedMarketIndex
 from repro.marketdata.indexer import MarketIndexer
 from repro.marketdata.naive import iter_listings, naive_best_listing
 from repro.marketdata.planner import HopQuote, PathQuote, PurchasePlanner
@@ -26,7 +25,6 @@ __all__ = [
     "MICROMIST",
     "BudgetExceeded",
     "Candidate",
-    "EventBus",
     "HopQuote",
     "IncompatibleGranularity",
     "IndexedListing",
@@ -36,7 +34,6 @@ __all__ = [
     "PathQuote",
     "PathSpec",
     "PurchasePlanner",
-    "SharedMarketIndex",
     "iter_listings",
     "naive_best_listing",
 ]

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 from repro.clock import SimClock
 from repro.crypto.prf import PrfFactory
-
-from repro.netsim.scenarios import SIM_PRF
+from repro.netsim.scenarios import SIM_PRF, linear_path
+from repro.scion.paths import as_crossings
 
 T0 = 1_700_000_000
 
@@ -120,23 +120,10 @@ def deadline_experiment(
     invariant described in the module docstring is asserted inline — a
     violation raises, so a passing run *is* the differential test.
     """
-    from repro.controlplane import deploy_market, execute_transfer
-    from repro.scion.beaconing import run_beaconing
-    from repro.scion.paths import PathLookup, as_crossings
-    from repro.scion.topology import linear_topology
-    from repro.transfers import (
-        BYTES_PER_KBPS_SECOND,
-        TransferPlanner,
-        DeadlineTransfer,
-        offline_optimum,
-    )
+    from repro.controlplane import deploy_market
 
     rng = random.Random(seed)
-    topology = linear_topology(num_ases)
-    store = run_beaconing(topology, timestamp=T0, prf_factory=prf_factory)
-    path = PathLookup(store).find_paths(
-        topology.ases[-1].isd_as, topology.ases[0].isd_as
-    )[0]
+    topology, path = linear_path(num_ases, timestamp=T0, prf_factory=prf_factory)
     crossings = as_crossings(path)
     deployment = deploy_market(
         topology,
@@ -149,37 +136,24 @@ def deadline_experiment(
         shard_seconds=shard_seconds,
     )
     return _run_mix(
-        deployment,
-        crossings,
-        transfer_count,
-        horizon,
-        market_bandwidth_kbps,
-        rng,
-        TransferPlanner,
-        DeadlineTransfer,
-        offline_optimum,
-        execute_transfer,
-        BYTES_PER_KBPS_SECOND,
+        deployment, crossings, transfer_count, horizon, market_bandwidth_kbps, rng
     )
 
 
 def _run_mix(
-    deployment,
-    crossings,
-    transfer_count,
-    horizon,
-    market_bandwidth_kbps,
-    rng,
-    TransferPlanner,
-    DeadlineTransfer,
-    offline_optimum,
-    execute_transfer,
-    bytes_per_kbps_second,
+    deployment, crossings, transfer_count, horizon, market_bandwidth_kbps, rng
 ):
-    from repro.transfers import InfeasibleTransfer
+    from repro.controlplane import execute_transfer
+    from repro.transfers import (
+        BYTES_PER_KBPS_SECOND,
+        DeadlineTransfer,
+        InfeasibleTransfer,
+        TransferPlanner,
+        offline_optimum,
+    )
 
     result = DeadlineExperimentResult()
-    path_capacity = market_bandwidth_kbps * horizon * bytes_per_kbps_second
+    path_capacity = market_bandwidth_kbps * horizon * BYTES_PER_KBPS_SECOND
     for index in range(transfer_count):
         # Mix: sizes from 10% to 55% of path capacity (the tail
         # oversubscribes), windows anywhere in the horizon, an occasional
@@ -196,7 +170,7 @@ def _run_mix(
                 100,
                 min(
                     market_bandwidth_kbps,
-                    2 * bytes_total // (window * bytes_per_kbps_second),
+                    2 * bytes_total // (window * BYTES_PER_KBPS_SECOND),
                 ),
             )
         budget = None

@@ -14,6 +14,7 @@ unprotected flow collapses.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass, field
 
@@ -353,223 +354,187 @@ def flex_market_experiment(
     admission) reports into the harness's registry and each probe's
     purchase is traced end to end.
     """
-    if telemetry is not None:
-        with telemetry.activate():
-            return _flex_market_experiment_impl(
-                num_ases, probe_rate_bps, flood_rate_bps, link_rate_bps,
-                window_seconds, flex_values, market_bandwidth_kbps,
-                base_price_micromist, duration, payload_bytes, seed,
-                prf_factory, shard_seconds, telemetry,
-            )
-    return _flex_market_experiment_impl(
-        num_ases, probe_rate_bps, flood_rate_bps, link_rate_bps,
-        window_seconds, flex_values, market_bandwidth_kbps,
-        base_price_micromist, duration, payload_bytes, seed, prf_factory,
-        shard_seconds, None,
-    )
+    with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
+        from repro.admission import ScarcityPricer
+        from repro.controlplane import deploy_market, purchase_path
 
-
-def _flex_market_experiment_impl(
-    num_ases: int,
-    probe_rate_bps: float,
-    flood_rate_bps: float,
-    link_rate_bps: float,
-    window_seconds: int,
-    flex_values: tuple[int, ...],
-    market_bandwidth_kbps: int,
-    base_price_micromist: int,
-    duration: float,
-    payload_bytes: int,
-    seed: int,
-    prf_factory: PrfFactory,
-    shard_seconds: float | None,
-    telemetry: ExperimentTelemetry | None,
-) -> FlexMarketResult:
-    from repro.admission import ScarcityPricer
-    from repro.controlplane import deploy_market, purchase_path
-    from repro.scion.beaconing import run_beaconing
-    from repro.scion.paths import PathLookup
-    from repro.scion.topology import linear_topology
-
-    topology = linear_topology(num_ases)
-    store = run_beaconing(
-        topology, timestamp=1_700_000_000, prf_factory=prf_factory
-    )
-    path = PathLookup(store).find_paths(
-        topology.ases[-1].isd_as, topology.ases[0].isd_as
-    )[0]
-    crossings = as_crossings(path)
-
-    deploy_time = 1_700_000_000
-    clock = SimClock(float(deploy_time))
-    deployment = deploy_market(
-        topology,
-        clock=clock,
-        seed=seed,
-        asset_start=deploy_time,  # pin the granule anchor for clean windows
-        asset_duration=7200,
-        asset_bandwidth_kbps=market_bandwidth_kbps,
-        price_micromist_per_unit=base_price_micromist,
-        interface_capacity_kbps=2 * market_bandwidth_kbps,
-        pricer=ScarcityPricer(),
-        prf_factory=prf_factory,
-        shard_seconds=shard_seconds,
-    )
-    peak = (deploy_time + 600, deploy_time + 600 + window_seconds)
-
-    # A crowd buys the peak window out at the base price and redeems, so
-    # the cheap capacity is gone and the active calendars record the load.
-    crowd = deployment.new_host(name="crowd")
-    purchase_path(
-        deployment,
-        crowd,
-        crossings,
-        start=peak[0],
-        expiry=peak[1],
-        bandwidth_kbps=market_bandwidth_kbps,
-    )
-
-    # Every AS restocks the sold-out peak; the quote now carries the
-    # scarcity multiplier, so peak capacity exists again — at a premium.
-    peak_price = base_price_micromist
-    for crossing in crossings:
-        service = deployment.service(crossing.isd_as)
-        for interface, is_ingress in ((crossing.ingress, True), (crossing.egress, False)):
-            peak_price = max(
-                peak_price,
-                service.admission.quote(
-                    base_price_micromist, interface, is_ingress, *peak
-                ),
-            )
-            restocked = service.issue_and_list(
-                deployment.marketplace,
-                interface,
-                is_ingress,
-                market_bandwidth_kbps,
-                *peak,
-                base_price_micromist,
-            )
-            if not restocked.effects.ok:
-                raise RuntimeError(f"restock failed: {restocked.effects.error}")
-
-    reserve_kbps = int(probe_rate_bps * 1.25 / 1000)  # cover wire overhead
-    outcomes: list[FlexBuyerOutcome] = []
-    for index, flex in enumerate(flex_values):
-        buyer = f"probe-flex-{flex}"
-        host = deployment.new_host(name=buyer)
-        # Trace the whole purchase: plan -> atomic buy-and-redeem tx ->
-        # per-AS admission -> sealed delivery.
-        trace = telemetry.trace(buyer) if telemetry is not None else None
-        with use_trace(trace):
-            outcome = purchase_path(
-                deployment,
-                host,
-                crossings,
-                start=peak[0],
-                expiry=peak[0] + window_seconds,
-                bandwidth_kbps=reserve_kbps,
-                flex_start=flex,
-            )
-        # Use the reservations on the data plane: the probe's protected
-        # flow vs a best-effort flood over the bottleneck, simulated at
-        # the window the planner actually bought.
-        simulation = build_path_simulation(
+        deploy_time = 1_700_000_000
+        topology, path = linear_path(
+            num_ases, timestamp=deploy_time, prf_factory=prf_factory
+        )
+        crossings = as_crossings(path)
+        clock = SimClock(float(deploy_time))
+        deployment = deploy_market(
             topology,
-            path,
-            start_time=float(outcome.quote.start) + 0.1,
-            link_rate_bps=link_rate_bps,
+            clock=clock,
+            seed=seed,
+            asset_start=deploy_time,  # pin the granule anchor for clean windows
+            asset_duration=7200,
+            asset_bandwidth_kbps=market_bandwidth_kbps,
+            price_micromist_per_unit=base_price_micromist,
+            interface_capacity_kbps=2 * market_bandwidth_kbps,
+            pricer=ScarcityPricer(),
             prf_factory=prf_factory,
+            shard_seconds=shard_seconds,
         )
-        rng = random.Random(seed + index)
-        victim_metrics = simulation.sink.flow(1)
-        victim = CbrSource(
-            simulation.loop,
-            simulation.hummingbird_source(outcome.reservations),
-            simulation.entry,
-            victim_metrics,
-            rate_bps=probe_rate_bps,
-            payload_bytes=payload_bytes,
-            flow_id=1,
-            jitter=0.05,
-            rng=rng,
-        )
-        flood_metrics = simulation.sink.flow(2)
-        flood = FloodSource(
-            simulation.loop,
-            simulation.best_effort_source(),
-            simulation.entry,
-            flood_metrics,
-            rate_bps=flood_rate_bps,
-            payload_bytes=payload_bytes,
-            flow_id=2,
-            jitter=0.02,
-            rng=rng,
-        )
-        victim.start(0.0)
-        flood.start(0.05)
-        simulation.loop.run_until(simulation.clock.now() + duration)
-        victim.stop()
-        flood.stop()
-        outcomes.append(
-            FlexBuyerOutcome(
-                buyer=buyer,
-                flex_start=flex,
-                offset=outcome.quote.offset,
-                start=outcome.quote.start,
-                expiry=outcome.quote.expiry,
-                estimated_price_mist=outcome.estimated_price_mist,
-                paid_price_mist=outcome.price_mist,
-                metrics=victim_metrics.summary(),
-            )
+        peak = (deploy_time + 600, deploy_time + 600 + window_seconds)
+
+        # A crowd buys the peak window out at the base price and redeems, so
+        # the cheap capacity is gone and the active calendars record the load.
+        crowd = deployment.new_host(name="crowd")
+        purchase_path(
+            deployment,
+            crowd,
+            crossings,
+            start=peak[0],
+            expiry=peak[1],
+            bandwidth_kbps=market_bandwidth_kbps,
         )
 
-    # Price-over-time curve at the bottleneck ingress: the peak plateau
-    # and the valley the flexible probes slid into.
-    bottleneck = crossings[1] if len(crossings) > 1 else crossings[0]
-    curve_times = list(
-        range(deploy_time, deploy_time + 3600 + window_seconds, window_seconds // 2)
-    )
-    curve_prices = deployment.indexer.price_curve(
-        bottleneck.isd_as,
-        bottleneck.ingress,
-        True,
-        reserve_kbps,
-        window_seconds,
-        curve_times,
-    )
-    result = FlexMarketResult(
-        buyers=outcomes,
-        peak_window=peak,
-        base_price_micromist=base_price_micromist,
-        peak_price_micromist=peak_price,
-        curve_times=curve_times,
-        curve_prices=[float(price) for price in curve_prices],
-    )
-    if telemetry is not None:
+        # Every AS restocks the sold-out peak; the quote now carries the
+        # scarcity multiplier, so peak capacity exists again — at a premium.
+        peak_price = base_price_micromist
         for crossing in crossings:
-            deployment.service(crossing.isd_as).admission.record_capacity_gauges(
-                deploy_time, deploy_time + 7200, owner=str(crossing.isd_as)
+            service = deployment.service(crossing.isd_as)
+            for interface, is_ingress in (
+                (crossing.ingress, True),
+                (crossing.egress, False),
+            ):
+                peak_price = max(
+                    peak_price,
+                    service.admission.quote(
+                        base_price_micromist, interface, is_ingress, *peak
+                    ),
+                )
+                restocked = service.issue_and_list(
+                    deployment.marketplace,
+                    interface,
+                    is_ingress,
+                    market_bandwidth_kbps,
+                    *peak,
+                    base_price_micromist,
+                )
+                if not restocked.effects.ok:
+                    raise RuntimeError(f"restock failed: {restocked.effects.error}")
+
+        reserve_kbps = int(probe_rate_bps * 1.25 / 1000)  # cover wire overhead
+        outcomes: list[FlexBuyerOutcome] = []
+        for index, flex in enumerate(flex_values):
+            buyer = f"probe-flex-{flex}"
+            host = deployment.new_host(name=buyer)
+            # Trace the whole purchase: plan -> atomic buy-and-redeem tx ->
+            # per-AS admission -> sealed delivery.
+            trace = telemetry.trace(buyer) if telemetry is not None else None
+            with use_trace(trace):
+                outcome = purchase_path(
+                    deployment,
+                    host,
+                    crossings,
+                    start=peak[0],
+                    expiry=peak[0] + window_seconds,
+                    bandwidth_kbps=reserve_kbps,
+                    flex_start=flex,
+                )
+            # Use the reservations on the data plane: the probe's protected
+            # flow vs a best-effort flood over the bottleneck, simulated at
+            # the window the planner actually bought.
+            simulation = build_path_simulation(
+                topology,
+                path,
+                start_time=float(outcome.quote.start) + 0.1,
+                link_rate_bps=link_rate_bps,
+                prf_factory=prf_factory,
             )
-        telemetry.annotate(
-            flex_market={
-                "peak_window": list(peak),
-                "base_price_micromist": base_price_micromist,
-                "peak_price_micromist": peak_price,
-                "buyers": [
-                    {
-                        "buyer": b.buyer,
-                        "flex_start": b.flex_start,
-                        "offset": b.offset,
-                        "paid_price_mist": b.paid_price_mist,
-                        "goodput_mbps": b.metrics.get("goodput_mbps"),
-                    }
-                    for b in outcomes
-                ],
-                "curve_times": curve_times,
-                "curve_prices": result.curve_prices,
-            }
+            rng = random.Random(seed + index)
+            victim_metrics = simulation.sink.flow(1)
+            victim = CbrSource(
+                simulation.loop,
+                simulation.hummingbird_source(outcome.reservations),
+                simulation.entry,
+                victim_metrics,
+                rate_bps=probe_rate_bps,
+                payload_bytes=payload_bytes,
+                flow_id=1,
+                jitter=0.05,
+                rng=rng,
+            )
+            flood_metrics = simulation.sink.flow(2)
+            flood = FloodSource(
+                simulation.loop,
+                simulation.best_effort_source(),
+                simulation.entry,
+                flood_metrics,
+                rate_bps=flood_rate_bps,
+                payload_bytes=payload_bytes,
+                flow_id=2,
+                jitter=0.02,
+                rng=rng,
+            )
+            victim.start(0.0)
+            flood.start(0.05)
+            simulation.loop.run_until(simulation.clock.now() + duration)
+            victim.stop()
+            flood.stop()
+            outcomes.append(
+                FlexBuyerOutcome(
+                    buyer=buyer,
+                    flex_start=flex,
+                    offset=outcome.quote.offset,
+                    start=outcome.quote.start,
+                    expiry=outcome.quote.expiry,
+                    estimated_price_mist=outcome.estimated_price_mist,
+                    paid_price_mist=outcome.price_mist,
+                    metrics=victim_metrics.summary(),
+                )
+            )
+
+        # Price-over-time curve at the bottleneck ingress: the peak plateau
+        # and the valley the flexible probes slid into.
+        bottleneck = crossings[1] if len(crossings) > 1 else crossings[0]
+        curve_times = list(
+            range(deploy_time, deploy_time + 3600 + window_seconds, window_seconds // 2)
         )
-    return result
+        curve_prices = deployment.indexer.price_curve(
+            bottleneck.isd_as,
+            bottleneck.ingress,
+            True,
+            reserve_kbps,
+            window_seconds,
+            curve_times,
+        )
+        result = FlexMarketResult(
+            buyers=outcomes,
+            peak_window=peak,
+            base_price_micromist=base_price_micromist,
+            peak_price_micromist=peak_price,
+            curve_times=curve_times,
+            curve_prices=[float(price) for price in curve_prices],
+        )
+        if telemetry is not None:
+            for crossing in crossings:
+                deployment.service(crossing.isd_as).admission.record_capacity_gauges(
+                    deploy_time, deploy_time + 7200, owner=str(crossing.isd_as)
+                )
+            telemetry.annotate(
+                flex_market={
+                    "peak_window": list(peak),
+                    "base_price_micromist": base_price_micromist,
+                    "peak_price_micromist": peak_price,
+                    "buyers": [
+                        {
+                            "buyer": b.buyer,
+                            "flex_start": b.flex_start,
+                            "offset": b.offset,
+                            "paid_price_mist": b.paid_price_mist,
+                            "goodput_mbps": b.metrics.get("goodput_mbps"),
+                        }
+                        for b in outcomes
+                    ],
+                    "curve_times": curve_times,
+                    "curve_prices": result.curve_prices,
+                }
+            )
+        return result
 
 
 @dataclass
@@ -709,223 +674,196 @@ def auction_experiment(
     -> sealed bid -> uniform-price settlement -> posted egress buy ->
     redeem -> admission -> sealed delivery -> data-plane policer verdict.
     """
-    if telemetry is not None:
-        with telemetry.activate():
-            return _auction_experiment_impl(
-                topology, path, num_buyers, per_buyer_kbps, link_rate_bps,
-                reservable_fraction, duration, payload_bytes,
-                base_price_micromist, seed, prf_factory, shard_seconds,
-                max_share_fraction, telemetry,
+    with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
+        from repro.admission import (
+            ACTIVE,
+            AdmissionController,
+            ProportionalShare,
+            ScarcityPricer,
+        )
+
+        crossings = as_crossings(path)
+        if len(crossings) < 2:
+            raise ValueError("need at least one inter-AS link for a bottleneck")
+        bottleneck = crossings[1]  # ingress side of the first inter-AS link
+        capacity_kbps = int(link_rate_bps / 1000 * reservable_fraction)
+        simulate = duration > 0
+        simulation = (
+            build_path_simulation(
+                topology, path, link_rate_bps=link_rate_bps, prf_factory=prf_factory
             )
-    return _auction_experiment_impl(
-        topology, path, num_buyers, per_buyer_kbps, link_rate_bps,
-        reservable_fraction, duration, payload_bytes, base_price_micromist,
-        seed, prf_factory, shard_seconds, max_share_fraction, None,
-    )
-
-
-def _auction_experiment_impl(
-    topology: Topology,
-    path: ForwardingPath,
-    num_buyers: int,
-    per_buyer_kbps: int,
-    link_rate_bps: float,
-    reservable_fraction: float,
-    duration: float,
-    payload_bytes: int,
-    base_price_micromist: int,
-    seed: int,
-    prf_factory: PrfFactory,
-    shard_seconds: float | None,
-    max_share_fraction: float,
-    telemetry: ExperimentTelemetry | None,
-) -> AuctionExperimentResult:
-    from repro.admission import (
-        ACTIVE,
-        AdmissionController,
-        ProportionalShare,
-        ScarcityPricer,
-    )
-
-    crossings = as_crossings(path)
-    if len(crossings) < 2:
-        raise ValueError("need at least one inter-AS link for a bottleneck")
-    bottleneck = crossings[1]  # ingress side of the first inter-AS link
-    capacity_kbps = int(link_rate_bps / 1000 * reservable_fraction)
-    simulate = duration > 0
-    simulation = (
-        build_path_simulation(
-            topology, path, link_rate_bps=link_rate_bps, prf_factory=prf_factory
+            if simulate
+            else None
         )
-        if simulate
-        else None
-    )
-    start = (
-        int(simulation.clock.now()) if simulate else 1_700_000_000
-    )
-    window_end = start + int(duration) + 60
-    window_seconds = window_end - start
-    reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
-    rng = random.Random(seed)
-    valuations = [
-        int(base_price_micromist * rng.uniform(1.0, 12.0)) for _ in range(num_buyers)
-    ]
-
-    def paid_mist(unit_price: int) -> int:
-        return -(-reserve_kbps * window_seconds * unit_price // 1_000_000)
-
-    # -- posted arm: arrival order vs the scarcity curve -----------------------
-    posted = AdmissionController(
-        capacity_kbps, pricer=ScarcityPricer(), shard_seconds=shard_seconds,
-    )
-    posted_outcomes: list[tuple[bool, int, int, str]] = []
-    posted_revenue = 0
-    for index, valuation in enumerate(valuations):
-        quote = posted.quote(
-            base_price_micromist, bottleneck.ingress, True, start, window_end
+        start = (
+            int(simulation.clock.now()) if simulate else 1_700_000_000
         )
-        if quote > valuation:
-            posted_outcomes.append((False, quote, 0, "priced out"))
-            continue
-        decision = posted.admit_reservation(
-            bottleneck.ingress, True, reserve_kbps, start, window_end,
-            tag=f"buyer-{index}",
-        )
-        if decision.admitted:
-            posted_revenue += paid_mist(quote)
-            posted_outcomes.append((True, quote, paid_mist(quote), "admitted"))
-        else:
-            posted_outcomes.append((False, quote, 0, decision.reason))
+        window_end = start + int(duration) + 60
+        window_seconds = window_end - start
+        reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
+        rng = random.Random(seed)
+        valuations = [
+            int(base_price_micromist * rng.uniform(1.0, 12.0))
+            for _ in range(num_buyers)
+        ]
 
-    # -- auction arm: one sealed-bid book, cleared at a uniform price ----------
-    auctioneer = AdmissionController(
-        capacity_kbps,
-        pricer=ScarcityPricer(),
-        policy=ProportionalShare(max_share_fraction),
-        shard_seconds=shard_seconds,
-        auction_interfaces=True,
-    )
-    book = auctioneer.open_auction(
-        bottleneck.ingress, True, capacity_kbps, start, window_end,
-        base_price_micromist,
-    )
-    for index, valuation in enumerate(valuations):
-        book.place(f"buyer-{index}", reserve_kbps, valuation)
-    supply = auctioneer.settle_supply(
-        bottleneck.ingress, True, start, window_end, capacity_kbps
-    )
-    outcome = book.clear(supply)
-    winners = {bid.bidder for bid in outcome.winners}
-    reasons = {lost.bid.bidder: lost.reason for lost in outcome.losers}
-    for bid in outcome.winners:
-        decision = auctioneer.admit_reservation(
-            bottleneck.ingress, True, bid.bandwidth_kbps, start, window_end,
-            tag=bid.bidder,
-        )
-        if not decision.admitted:  # cannot happen: clearing respects supply
-            raise RuntimeError(f"auction oversold the window: {decision.reason}")
-    auction_revenue = outcome.revenue_mist(window_seconds)
+        def paid_mist(unit_price: int) -> int:
+            return -(-reserve_kbps * window_seconds * unit_price // 1_000_000)
 
-    # -- data plane: winners protected, everyone sends --------------------------
-    sources = []
-    flow_metrics: list[FlowMetrics | None] = []
-    if simulate:
-        for index in range(num_buyers):
-            if f"buyer-{index}" in winners:
-                reservations = simulation.grant_full_path(
-                    reserve_kbps, start, int(duration) + 60, res_id=index
-                )
-                builder = simulation.hummingbird_source(reservations)
+        # -- posted arm: arrival order vs the scarcity curve -----------------------
+        posted = AdmissionController(
+            capacity_kbps, pricer=ScarcityPricer(), shard_seconds=shard_seconds,
+        )
+        posted_outcomes: list[tuple[bool, int, int, str]] = []
+        posted_revenue = 0
+        for index, valuation in enumerate(valuations):
+            quote = posted.quote(
+                base_price_micromist, bottleneck.ingress, True, start, window_end
+            )
+            if quote > valuation:
+                posted_outcomes.append((False, quote, 0, "priced out"))
+                continue
+            decision = posted.admit_reservation(
+                bottleneck.ingress, True, reserve_kbps, start, window_end,
+                tag=f"buyer-{index}",
+            )
+            if decision.admitted:
+                posted_revenue += paid_mist(quote)
+                posted_outcomes.append((True, quote, paid_mist(quote), "admitted"))
             else:
-                builder = simulation.best_effort_source()
-            metrics = simulation.sink.flow(index + 1)
-            flow_metrics.append(metrics)
-            source = CbrSource(
-                simulation.loop,
-                builder,
-                simulation.entry,
-                metrics,
-                rate_bps=per_buyer_kbps * 1000.0,
-                payload_bytes=payload_bytes,
-                flow_id=index + 1,
-                jitter=0.05,
-                rng=rng,
-            )
-            sources.append(source)
-            source.start(0.01 * index)
-        simulation.loop.run_until(simulation.clock.now() + duration)
-        for source in sources:
-            source.stop()
-    else:
-        flow_metrics = [None] * num_buyers
+                posted_outcomes.append((False, quote, 0, decision.reason))
 
-    per_winner = paid_mist(outcome.clearing_price_micromist)
-    buyers = []
-    for index, valuation in enumerate(valuations):
-        name = f"buyer-{index}"
-        admitted, quote, paid, posted_reason = posted_outcomes[index]
-        won = name in winners
-        buyers.append(
-            AuctionBuyerOutcome(
-                buyer=name,
-                requested_kbps=reserve_kbps,
-                valuation_micromist=valuation,
-                posted_admitted=admitted,
-                posted_quote_micromist=quote,
-                posted_paid_mist=paid,
-                posted_reason=posted_reason,
-                auction_won=won,
-                auction_paid_mist=per_winner if won else 0,
-                auction_reason="won" if won else reasons.get(name, "no bid"),
-                metrics=flow_metrics[index].summary() if flow_metrics[index] else {},
-            )
+        # -- auction arm: one sealed-bid book, cleared at a uniform price ----------
+        auctioneer = AdmissionController(
+            capacity_kbps,
+            pricer=ScarcityPricer(),
+            policy=ProportionalShare(max_share_fraction),
+            shard_seconds=shard_seconds,
+            auction_interfaces=True,
         )
+        book = auctioneer.open_auction(
+            bottleneck.ingress, True, capacity_kbps, start, window_end,
+            base_price_micromist,
+        )
+        for index, valuation in enumerate(valuations):
+            book.place(f"buyer-{index}", reserve_kbps, valuation)
+        supply = auctioneer.settle_supply(
+            bottleneck.ingress, True, start, window_end, capacity_kbps
+        )
+        outcome = book.clear(supply)
+        winners = {bid.bidder for bid in outcome.winners}
+        reasons = {lost.bid.bidder: lost.reason for lost in outcome.losers}
+        for bid in outcome.winners:
+            decision = auctioneer.admit_reservation(
+                bottleneck.ingress, True, bid.bandwidth_kbps, start, window_end,
+                tag=bid.bidder,
+            )
+            if not decision.admitted:  # cannot happen: clearing respects supply
+                raise RuntimeError(f"auction oversold the window: {decision.reason}")
+        auction_revenue = outcome.revenue_mist(window_seconds)
 
-    posted_peak = posted.calendar(bottleneck.ingress, True, ACTIVE).peak_commitment(
-        start, window_end
-    )
-    auction_peak = auctioneer.calendar(
-        bottleneck.ingress, True, ACTIVE
-    ).peak_commitment(start, window_end)
-    link = simulation.links[0] if simulate and simulation.links else None
-    result = AuctionExperimentResult(
-        buyers=buyers,
-        capacity_kbps=capacity_kbps,
-        supply_kbps=supply,
-        reserve_micromist=book.reserve_micromist,
-        clearing_price_micromist=outcome.clearing_price_micromist,
-        posted_revenue_mist=posted_revenue,
-        auction_revenue_mist=auction_revenue,
-        posted_peak_kbps=int(posted_peak),
-        auction_peak_kbps=int(auction_peak),
-        bottleneck_utilization=link.utilization(duration) if link else 0.0,
-    )
-    if telemetry is not None:
-        posted.record_capacity_gauges(start, window_end, owner="posted-arm")
-        auctioneer.record_capacity_gauges(start, window_end, owner="auction-arm")
+        # -- data plane: winners protected, everyone sends --------------------------
+        sources = []
+        flow_metrics: list[FlowMetrics | None] = []
         if simulate:
-            simulation.nodes[bottleneck.isd_as].router.policer.record_gauges(
-                str(bottleneck.isd_as)
+            for index in range(num_buyers):
+                if f"buyer-{index}" in winners:
+                    reservations = simulation.grant_full_path(
+                        reserve_kbps, start, int(duration) + 60, res_id=index
+                    )
+                    builder = simulation.hummingbird_source(reservations)
+                else:
+                    builder = simulation.best_effort_source()
+                metrics = simulation.sink.flow(index + 1)
+                flow_metrics.append(metrics)
+                source = CbrSource(
+                    simulation.loop,
+                    builder,
+                    simulation.entry,
+                    metrics,
+                    rate_bps=per_buyer_kbps * 1000.0,
+                    payload_bytes=payload_bytes,
+                    flow_id=index + 1,
+                    jitter=0.05,
+                    rng=rng,
+                )
+                sources.append(source)
+                source.start(0.01 * index)
+            simulation.loop.run_until(simulation.clock.now() + duration)
+            for source in sources:
+                source.stop()
+        else:
+            flow_metrics = [None] * num_buyers
+
+        per_winner = paid_mist(outcome.clearing_price_micromist)
+        buyers = []
+        for index, valuation in enumerate(valuations):
+            name = f"buyer-{index}"
+            admitted, quote, paid, posted_reason = posted_outcomes[index]
+            won = name in winners
+            buyers.append(
+                AuctionBuyerOutcome(
+                    buyer=name,
+                    requested_kbps=reserve_kbps,
+                    valuation_micromist=valuation,
+                    posted_admitted=admitted,
+                    posted_quote_micromist=quote,
+                    posted_paid_mist=paid,
+                    posted_reason=posted_reason,
+                    auction_won=won,
+                    auction_paid_mist=per_winner if won else 0,
+                    auction_reason="won" if won else reasons.get(name, "no bid"),
+                    metrics=(
+                        flow_metrics[index].summary() if flow_metrics[index] else {}
+                    ),
+                )
             )
-        _traced_reservation_lifecycle(
-            telemetry, topology, crossings, bottleneck, path, prf_factory
+
+        posted_peak = posted.calendar(bottleneck.ingress, True, ACTIVE).peak_commitment(
+            start, window_end
         )
-        telemetry.annotate(
-            auction={
-                "capacity_kbps": capacity_kbps,
-                "supply_kbps": supply,
-                "reserve_micromist": result.reserve_micromist,
-                "clearing_price_micromist": result.clearing_price_micromist,
-                "posted_revenue_mist": posted_revenue,
-                "auction_revenue_mist": auction_revenue,
-                "posted_efficiency": result.efficiency("posted"),
-                "auction_efficiency": result.efficiency("auction"),
-                "posted_jain": result.jain_index("posted"),
-                "auction_jain": result.jain_index("auction"),
-                "oversold": result.oversold,
-            }
+        auction_peak = auctioneer.calendar(
+            bottleneck.ingress, True, ACTIVE
+        ).peak_commitment(start, window_end)
+        link = simulation.links[0] if simulate and simulation.links else None
+        result = AuctionExperimentResult(
+            buyers=buyers,
+            capacity_kbps=capacity_kbps,
+            supply_kbps=supply,
+            reserve_micromist=book.reserve_micromist,
+            clearing_price_micromist=outcome.clearing_price_micromist,
+            posted_revenue_mist=posted_revenue,
+            auction_revenue_mist=auction_revenue,
+            posted_peak_kbps=int(posted_peak),
+            auction_peak_kbps=int(auction_peak),
+            bottleneck_utilization=link.utilization(duration) if link else 0.0,
         )
-    return result
+        if telemetry is not None:
+            posted.record_capacity_gauges(start, window_end, owner="posted-arm")
+            auctioneer.record_capacity_gauges(start, window_end, owner="auction-arm")
+            if simulate:
+                simulation.nodes[bottleneck.isd_as].router.policer.record_gauges(
+                    str(bottleneck.isd_as)
+                )
+            _traced_reservation_lifecycle(
+                telemetry, topology, crossings, bottleneck, path, prf_factory
+            )
+            telemetry.annotate(
+                auction={
+                    "capacity_kbps": capacity_kbps,
+                    "supply_kbps": supply,
+                    "reserve_micromist": result.reserve_micromist,
+                    "clearing_price_micromist": result.clearing_price_micromist,
+                    "posted_revenue_mist": posted_revenue,
+                    "auction_revenue_mist": auction_revenue,
+                    "posted_efficiency": result.efficiency("posted"),
+                    "auction_efficiency": result.efficiency("auction"),
+                    "posted_jain": result.jain_index("posted"),
+                    "auction_jain": result.jain_index("auction"),
+                    "oversold": result.oversold,
+                }
+            )
+        return result
 
 
 def _traced_reservation_lifecycle(
@@ -1150,180 +1088,159 @@ def path_contention_experiment(
     lifecycle (screen -> per-hop admits -> commit -> settle -> redeem ->
     release) lands on a single trace id.
     """
-    if telemetry is not None:
-        with telemetry.activate():
-            return _path_contention_experiment_impl(
-                topology, path, num_buyers, per_buyer_kbps, window_seconds,
-                base_price_micromist, seed, telemetry,
-            )
-    return _path_contention_experiment_impl(
-        topology, path, num_buyers, per_buyer_kbps, window_seconds,
-        base_price_micromist, seed, None,
-    )
-
-
-def _path_contention_experiment_impl(
-    topology: Topology,
-    path: ForwardingPath,
-    num_buyers: int,
-    per_buyer_kbps: int,
-    window_seconds: int,
-    base_price_micromist: int,
-    seed: int,
-    telemetry: ExperimentTelemetry | None,
-) -> PathContentionResult:
-    from repro.admission import (
-        ACTIVE,
-        AdmissionController,
-        FirstComeFirstServed,
-        ProportionalShare,
-        ScarcityPricer,
-    )
-    from repro.pathadm import (
-        PathAdmission,
-        PathCommitError,
-        PathHop,
-        controller_fingerprint,
-    )
-
-    crossings = as_crossings(path)
-    if len(crossings) < 3:
-        raise ValueError("path contention needs at least three on-path ASes")
-    # Bottleneck sized so roughly half the buyers fit, plus headroom for
-    # the small rollback probe; the other hops are never the constraint.
-    slots = (num_buyers + 1) // 2
-    probe_kbps = max(per_buyer_kbps // 2, 1)
-    bottleneck_capacity = slots * per_buyer_kbps + probe_kbps
-    wide_capacity = 2 * num_buyers * per_buyer_kbps
-    # One allocation stack per AS: the heterogeneity the protocol must
-    # coordinate without caring what runs behind each hop.
-    configs = [
-        ("posted/fcfs/monolithic", AdmissionController(
-            wide_capacity, policy=FirstComeFirstServed(),
-        )),
-        ("posted/proportional/sharded", AdmissionController(
-            bottleneck_capacity,
-            policy=ProportionalShare(0.5),
-            shard_seconds=float(window_seconds),
-        )),
-        ("auction/scarcity/monolithic", AdmissionController(
-            wide_capacity, pricer=ScarcityPricer(), auction_interfaces=True,
-        )),
-    ]
-    hops = []
-    hop_modes = []
-    for index, crossing in enumerate(crossings):
-        mode, controller = configs[index % len(configs)]
-        hop_modes.append(mode)
-        hops.append(
-            PathHop(
-                name=str(crossing.isd_as),
-                controller=controller,
-                ingress_interface=crossing.ingress,
-                egress_interface=crossing.egress,
-            )
+    with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
+        from repro.admission import (
+            ACTIVE,
+            AdmissionController,
+            FirstComeFirstServed,
+            ProportionalShare,
+            ScarcityPricer,
         )
-    admission = PathAdmission(hops)
-
-    start = 1_700_000_000
-    window_end = start + window_seconds
-    outcomes: list[PathBuyerOutcome] = []
-    for index in range(num_buyers):
-        buyer = f"buyer-{index}"
-        trace = telemetry.trace(buyer) if telemetry and index == 0 else None
-        with use_trace(trace):
-            ticket = admission.screen(
-                per_buyer_kbps, start, window_end, tag=buyer, layer=ACTIVE
-            )
-            if ticket.admitted:
-                admission.commit(ticket)
-        outcomes.append(
-            PathBuyerOutcome(
-                buyer=buyer,
-                requested_kbps=per_buyer_kbps,
-                admitted=ticket.admitted,
-                failed_hop=ticket.failed_hop,
-                reason=ticket.reason,
-            )
+        from repro.pathadm import (
+            PathAdmission,
+            PathCommitError,
+            PathHop,
+            controller_fingerprint,
         )
 
-    # -- atomicity probes: both failure paths must be invisible afterwards --
-    baseline = [controller_fingerprint(hop.controller) for hop in hops]
-    rejected_probe = admission.screen(
-        wide_capacity, start, window_end, tag="oversized-probe", layer=ACTIVE
-    )
-    restored_after_reject = (
-        not rejected_probe.admitted
-        and [controller_fingerprint(hop.controller) for hop in hops] == baseline
-    )
-    probe = admission.screen(
-        probe_kbps, start, window_end, tag="commit-probe", layer=ACTIVE
-    )
-    restored_after_commit_fail = False
-    if probe.admitted:
-        fail_at = len(hops) - 1
-
-        def failing_hook(index, hop, hold):
-            if index == fail_at:
-                raise RuntimeError("downstream settlement refused")
-
-        try:
-            admission.commit(probe, hook=failing_hook)
-        except PathCommitError:
-            restored_after_commit_fail = (
-                [controller_fingerprint(hop.controller) for hop in hops]
-                == baseline
-            )
-
-    hop_peaks = []
-    for hop in hops:
-        hop_peaks.append(
-            int(
-                max(
-                    hop.controller.calendar(interface, is_ingress, ACTIVE)
-                    .peak_commitment(start, window_end)
-                    for interface, is_ingress in hop.claims
+        crossings = as_crossings(path)
+        if len(crossings) < 3:
+            raise ValueError("path contention needs at least three on-path ASes")
+        # Bottleneck sized so roughly half the buyers fit, plus headroom for
+        # the small rollback probe; the other hops are never the constraint.
+        slots = (num_buyers + 1) // 2
+        probe_kbps = max(per_buyer_kbps // 2, 1)
+        bottleneck_capacity = slots * per_buyer_kbps + probe_kbps
+        wide_capacity = 2 * num_buyers * per_buyer_kbps
+        # One allocation stack per AS: the heterogeneity the protocol must
+        # coordinate without caring what runs behind each hop.
+        configs = [
+            ("posted/fcfs/monolithic", AdmissionController(
+                wide_capacity, policy=FirstComeFirstServed(),
+            )),
+            ("posted/proportional/sharded", AdmissionController(
+                bottleneck_capacity,
+                policy=ProportionalShare(0.5),
+                shard_seconds=float(window_seconds),
+            )),
+            ("auction/scarcity/monolithic", AdmissionController(
+                wide_capacity, pricer=ScarcityPricer(), auction_interfaces=True,
+            )),
+        ]
+        hops = []
+        hop_modes = []
+        for index, crossing in enumerate(crossings):
+            mode, controller = configs[index % len(configs)]
+            hop_modes.append(mode)
+            hops.append(
+                PathHop(
+                    name=str(crossing.isd_as),
+                    controller=controller,
+                    ingress_interface=crossing.ingress,
+                    egress_interface=crossing.egress,
                 )
             )
-        )
+        admission = PathAdmission(hops)
 
-    escrow_conserved, winners = _traced_path_lifecycle(
-        telemetry, topology, crossings, per_buyer_kbps, base_price_micromist, seed
-    )
-
-    result = PathContentionResult(
-        buyers=outcomes,
-        hop_names=[hop.name for hop in hops],
-        hop_capacities_kbps=[
-            int(hop.controller.capacity_kbps(hop.ingress_interface, True))
-            for hop in hops
-        ],
-        hop_peaks_kbps=hop_peaks,
-        hop_modes=hop_modes,
-        rollback_restores_state=(
-            restored_after_reject and restored_after_commit_fail
-        ),
-        escrow_conserved=escrow_conserved,
-        path_auction_winners=winners,
-    )
-    if telemetry is not None:
-        for hop in hops:
-            hop.controller.record_capacity_gauges(
-                start, window_end, owner=f"path-hop-{hop.name}"
+        start = 1_700_000_000
+        window_end = start + window_seconds
+        outcomes: list[PathBuyerOutcome] = []
+        for index in range(num_buyers):
+            buyer = f"buyer-{index}"
+            trace = telemetry.trace(buyer) if telemetry and index == 0 else None
+            with use_trace(trace):
+                ticket = admission.screen(
+                    per_buyer_kbps, start, window_end, tag=buyer, layer=ACTIVE
+                )
+                if ticket.admitted:
+                    admission.commit(ticket)
+            outcomes.append(
+                PathBuyerOutcome(
+                    buyer=buyer,
+                    requested_kbps=per_buyer_kbps,
+                    admitted=ticket.admitted,
+                    failed_hop=ticket.failed_hop,
+                    reason=ticket.reason,
+                )
             )
-        telemetry.annotate(
-            path_contention={
-                "hops": len(hops),
-                "hop_modes": hop_modes,
-                "admitted": len(result.admitted),
-                "rejected": len(result.rejected),
-                "oversold": result.oversold,
-                "rollback_restores_state": result.rollback_restores_state,
-                "escrow_conserved": result.escrow_conserved,
-                "path_auction_winners": result.path_auction_winners,
-            }
+
+        # -- atomicity probes: both failure paths must be invisible afterwards --
+        baseline = [controller_fingerprint(hop.controller) for hop in hops]
+        rejected_probe = admission.screen(
+            wide_capacity, start, window_end, tag="oversized-probe", layer=ACTIVE
         )
-    return result
+        restored_after_reject = (
+            not rejected_probe.admitted
+            and [controller_fingerprint(hop.controller) for hop in hops] == baseline
+        )
+        probe = admission.screen(
+            probe_kbps, start, window_end, tag="commit-probe", layer=ACTIVE
+        )
+        restored_after_commit_fail = False
+        if probe.admitted:
+            fail_at = len(hops) - 1
+
+            def failing_hook(index, hop, hold):
+                if index == fail_at:
+                    raise RuntimeError("downstream settlement refused")
+
+            try:
+                admission.commit(probe, hook=failing_hook)
+            except PathCommitError:
+                restored_after_commit_fail = (
+                    [controller_fingerprint(hop.controller) for hop in hops]
+                    == baseline
+                )
+
+        hop_peaks = []
+        for hop in hops:
+            hop_peaks.append(
+                int(
+                    max(
+                        hop.controller.calendar(interface, is_ingress, ACTIVE)
+                        .peak_commitment(start, window_end)
+                        for interface, is_ingress in hop.claims
+                    )
+                )
+            )
+
+        escrow_conserved, winners = _traced_path_lifecycle(
+            telemetry, topology, crossings, per_buyer_kbps, base_price_micromist, seed
+        )
+
+        result = PathContentionResult(
+            buyers=outcomes,
+            hop_names=[hop.name for hop in hops],
+            hop_capacities_kbps=[
+                int(hop.controller.capacity_kbps(hop.ingress_interface, True))
+                for hop in hops
+            ],
+            hop_peaks_kbps=hop_peaks,
+            hop_modes=hop_modes,
+            rollback_restores_state=(
+                restored_after_reject and restored_after_commit_fail
+            ),
+            escrow_conserved=escrow_conserved,
+            path_auction_winners=winners,
+        )
+        if telemetry is not None:
+            for hop in hops:
+                hop.controller.record_capacity_gauges(
+                    start, window_end, owner=f"path-hop-{hop.name}"
+                )
+            telemetry.annotate(
+                path_contention={
+                    "hops": len(hops),
+                    "hop_modes": hop_modes,
+                    "admitted": len(result.admitted),
+                    "rejected": len(result.rejected),
+                    "oversold": result.oversold,
+                    "rollback_restores_state": result.rollback_restores_state,
+                    "escrow_conserved": result.escrow_conserved,
+                    "path_auction_winners": result.path_auction_winners,
+                }
+            )
+        return result
 
 
 def _traced_path_lifecycle(
@@ -1467,142 +1384,111 @@ def contention_experiment(
     (``telemetry.write(...)`` dumps them for
     ``tools/report_experiment.py``).
     """
-    if telemetry is not None:
-        with telemetry.activate():
-            return _contention_experiment_impl(
-                topology, path, num_buyers, per_buyer_kbps, link_rate_bps,
-                reservable_fraction, duration, payload_bytes,
-                base_price_micromist, seed, prf_factory, pricer, policy,
-                shard_seconds, telemetry,
-            )
-    return _contention_experiment_impl(
-        topology, path, num_buyers, per_buyer_kbps, link_rate_bps,
-        reservable_fraction, duration, payload_bytes, base_price_micromist,
-        seed, prf_factory, pricer, policy, shard_seconds, None,
-    )
+    with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
+        from repro.admission import AdmissionController, ScarcityPricer
 
-
-def _contention_experiment_impl(
-    topology: Topology,
-    path: ForwardingPath,
-    num_buyers: int,
-    per_buyer_kbps: int,
-    link_rate_bps: float,
-    reservable_fraction: float,
-    duration: float,
-    payload_bytes: int,
-    base_price_micromist: int,
-    seed: int,
-    prf_factory: PrfFactory,
-    pricer,
-    policy,
-    shard_seconds: float | None,
-    telemetry: ExperimentTelemetry | None,
-) -> ContentionResult:
-    from repro.admission import AdmissionController, ScarcityPricer
-
-    simulation = build_path_simulation(
-        topology, path, link_rate_bps=link_rate_bps, prf_factory=prf_factory
-    )
-    crossings = as_crossings(path)
-    if len(crossings) < 2:
-        raise ValueError("need at least one inter-AS link for a bottleneck")
-    bottleneck = crossings[1]  # ingress side of the first inter-AS link
-    capacity_kbps = int(link_rate_bps / 1000 * reservable_fraction)
-    controller = AdmissionController(
-        capacity_kbps,
-        policy=policy,
-        pricer=pricer if pricer is not None else ScarcityPricer(),
-        shard_seconds=shard_seconds,
-    )
-
-    start = int(simulation.clock.now())
-    reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
-    window_end = start + int(duration) + 60
-    rng = random.Random(seed)
-    sources = []
-    outcomes: list[BuyerOutcome] = []
-    flow_metrics: list[FlowMetrics] = []
-    for index in range(num_buyers):
-        buyer = f"buyer-{index}"
-        quote = controller.quote(
-            base_price_micromist, bottleneck.ingress, True, start, window_end
+        simulation = build_path_simulation(
+            topology, path, link_rate_bps=link_rate_bps, prf_factory=prf_factory
         )
-        # Trace buyer-0's lifecycle end to end (admission through policer).
-        trace = telemetry.trace(buyer) if telemetry and index == 0 else None
-        with use_trace(trace):
-            decision = controller.admit_reservation(
-                bottleneck.ingress, True, reserve_kbps, start, window_end, tag=buyer
-            )
-        if decision.admitted:
-            reservations = simulation.grant_full_path(
-                reserve_kbps, start, int(duration) + 60, res_id=index
-            )
-            builder = simulation.hummingbird_source(reservations)
-        else:
-            builder = simulation.best_effort_source()
-        metrics = simulation.sink.flow(index + 1)
-        flow_metrics.append(metrics)
-        source = CbrSource(
-            simulation.loop,
-            builder,
-            simulation.entry,
-            metrics,
-            rate_bps=per_buyer_kbps * 1000.0,
-            payload_bytes=payload_bytes,
-            flow_id=index + 1,
-            jitter=0.05,
-            rng=rng,
-        )
-        sources.append(source)
-        source.start(0.01 * index)  # slight stagger, arrival order = index order
-        outcomes.append(
-            BuyerOutcome(
-                buyer=buyer,
-                requested_kbps=reserve_kbps,
-                admitted=decision.admitted,
-                quoted_price_micromist=quote,
-                reason=decision.reason,
-                metrics={},
-            )
+        crossings = as_crossings(path)
+        if len(crossings) < 2:
+            raise ValueError("need at least one inter-AS link for a bottleneck")
+        bottleneck = crossings[1]  # ingress side of the first inter-AS link
+        capacity_kbps = int(link_rate_bps / 1000 * reservable_fraction)
+        controller = AdmissionController(
+            capacity_kbps,
+            policy=policy,
+            pricer=pricer if pricer is not None else ScarcityPricer(),
+            shard_seconds=shard_seconds,
         )
 
-    simulation.loop.run_until(simulation.clock.now() + duration)
-    for source in sources:
-        source.stop()
-    for outcome, metrics in zip(outcomes, flow_metrics):
-        outcome.metrics = metrics.summary()
-
-    link = simulation.links[0]
-    result = ContentionResult(
-        buyers=outcomes,
-        capacity_kbps=capacity_kbps,
-        bottleneck_utilization=link.utilization(duration),
-    )
-    if telemetry is not None:
-        controller.record_capacity_gauges(start, window_end, owner="bottleneck-as")
-        router = simulation.nodes[bottleneck.isd_as].router
-        router.policer.record_gauges(str(bottleneck.isd_as))
-        if telemetry.traces and telemetry.traces[0].name == "buyer-0":
-            telemetry.traces[0].event(
-                "policer.verdict",
-                isd_as=str(bottleneck.isd_as),
-                ingress=bottleneck.ingress,
-                res_id=0,
-                priority_bytes=router.policer.usage_bytes(bottleneck.ingress, 0),
+        start = int(simulation.clock.now())
+        reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
+        window_end = start + int(duration) + 60
+        rng = random.Random(seed)
+        sources = []
+        outcomes: list[BuyerOutcome] = []
+        flow_metrics: list[FlowMetrics] = []
+        for index in range(num_buyers):
+            buyer = f"buyer-{index}"
+            quote = controller.quote(
+                base_price_micromist, bottleneck.ingress, True, start, window_end
             )
-        telemetry.annotate(
-            contention={
-                "capacity_kbps": capacity_kbps,
-                "admitted": len(result.admitted),
-                "rejected": len(result.rejected),
-                "bottleneck_utilization": result.bottleneck_utilization,
-                "revenue_proxy_micromist": sum(
-                    b.quoted_price_micromist for b in result.admitted
-                ),
-            }
+            # Trace buyer-0's lifecycle end to end (admission through policer).
+            trace = telemetry.trace(buyer) if telemetry and index == 0 else None
+            with use_trace(trace):
+                decision = controller.admit_reservation(
+                    bottleneck.ingress, True, reserve_kbps, start, window_end, tag=buyer
+                )
+            if decision.admitted:
+                reservations = simulation.grant_full_path(
+                    reserve_kbps, start, int(duration) + 60, res_id=index
+                )
+                builder = simulation.hummingbird_source(reservations)
+            else:
+                builder = simulation.best_effort_source()
+            metrics = simulation.sink.flow(index + 1)
+            flow_metrics.append(metrics)
+            source = CbrSource(
+                simulation.loop,
+                builder,
+                simulation.entry,
+                metrics,
+                rate_bps=per_buyer_kbps * 1000.0,
+                payload_bytes=payload_bytes,
+                flow_id=index + 1,
+                jitter=0.05,
+                rng=rng,
+            )
+            sources.append(source)
+            source.start(0.01 * index)  # slight stagger, arrival order = index order
+            outcomes.append(
+                BuyerOutcome(
+                    buyer=buyer,
+                    requested_kbps=reserve_kbps,
+                    admitted=decision.admitted,
+                    quoted_price_micromist=quote,
+                    reason=decision.reason,
+                    metrics={},
+                )
+            )
+
+        simulation.loop.run_until(simulation.clock.now() + duration)
+        for source in sources:
+            source.stop()
+        for outcome, metrics in zip(outcomes, flow_metrics):
+            outcome.metrics = metrics.summary()
+
+        link = simulation.links[0]
+        result = ContentionResult(
+            buyers=outcomes,
+            capacity_kbps=capacity_kbps,
+            bottleneck_utilization=link.utilization(duration),
         )
-    return result
+        if telemetry is not None:
+            controller.record_capacity_gauges(start, window_end, owner="bottleneck-as")
+            router = simulation.nodes[bottleneck.isd_as].router
+            router.policer.record_gauges(str(bottleneck.isd_as))
+            if telemetry.traces and telemetry.traces[0].name == "buyer-0":
+                telemetry.traces[0].event(
+                    "policer.verdict",
+                    isd_as=str(bottleneck.isd_as),
+                    ingress=bottleneck.ingress,
+                    res_id=0,
+                    priority_bytes=router.policer.usage_bytes(bottleneck.ingress, 0),
+                )
+            telemetry.annotate(
+                contention={
+                    "capacity_kbps": capacity_kbps,
+                    "admitted": len(result.admitted),
+                    "rejected": len(result.rejected),
+                    "bottleneck_utilization": result.bottleneck_utilization,
+                    "revenue_proxy_micromist": sum(
+                        b.quoted_price_micromist for b in result.admitted
+                    ),
+                }
+            )
+        return result
 
 
 @dataclass
@@ -1672,7 +1558,6 @@ def reclamation_experiment(
     seed: int = 1,
     prf_factory: PrfFactory = SIM_PRF,
     pricer=None,
-    telemetry: ExperimentTelemetry | None = None,
 ) -> ReclamationResult:
     """The closed control loop vs an open one, on an overbooked bottleneck.
 
@@ -1696,45 +1581,6 @@ def reclamation_experiment(
     demotions of honest traffic (``tests/netsim/test_reclamation.py``
     asserts all three).
     """
-    if telemetry is not None:
-        with telemetry.activate():
-            return _reclamation_experiment_impl(
-                topology, path, num_buyers, num_no_shows, num_late,
-                per_buyer_kbps, link_rate_bps, reservable_fraction, duration,
-                payload_bytes, base_price_micromist, static_factor,
-                max_factor, grace_seconds, scan_interval, no_show_threshold,
-                seed, prf_factory, pricer, telemetry,
-            )
-    return _reclamation_experiment_impl(
-        topology, path, num_buyers, num_no_shows, num_late, per_buyer_kbps,
-        link_rate_bps, reservable_fraction, duration, payload_bytes,
-        base_price_micromist, static_factor, max_factor, grace_seconds,
-        scan_interval, no_show_threshold, seed, prf_factory, pricer, None,
-    )
-
-
-def _reclamation_experiment_impl(
-    topology: Topology,
-    path: ForwardingPath,
-    num_buyers: int,
-    num_no_shows: int,
-    num_late: int,
-    per_buyer_kbps: int,
-    link_rate_bps: float,
-    reservable_fraction: float,
-    duration: float,
-    payload_bytes: int,
-    base_price_micromist: int,
-    static_factor: float,
-    max_factor: float,
-    grace_seconds: float,
-    scan_interval: float,
-    no_show_threshold: float,
-    seed: int,
-    prf_factory: PrfFactory,
-    pricer,
-    telemetry: ExperimentTelemetry | None,
-) -> ReclamationResult:
     from repro.admission.policy import FirstComeFirstServed, OverbookingPolicy
     from repro.reclaim import AdaptiveOverbooking
 
@@ -1756,27 +1602,7 @@ def _reclamation_experiment_impl(
             duration, payload_bytes, base_price_micromist, grace_seconds,
             scan_interval, no_show_threshold, seed, prf_factory, pricer,
         )
-    result = ReclamationResult(arms=arms)
-    if telemetry is not None:
-        telemetry.annotate(
-            reclamation={
-                arm: {
-                    "revenue_mist": outcome.revenue_mist,
-                    "reserved_goodput_mbps": round(
-                        outcome.reserved_goodput_bps / 1e6, 3
-                    ),
-                    "reserved_buyers": len(outcome.reserved_buyers),
-                    "honest_demotions": outcome.honest_demotions,
-                    "reclaim_events": outcome.reclaim_events,
-                    "reclaimed_kbps": outcome.reclaimed_kbps,
-                    "false_reclaims": outcome.false_reclaims,
-                    "live_factor": round(outcome.live_factor, 3),
-                    "bottleneck_utilization": outcome.bottleneck_utilization,
-                }
-                for arm, outcome in arms.items()
-            }
-        )
-    return result
+    return ReclamationResult(arms=arms)
 
 
 def _reclamation_arm(

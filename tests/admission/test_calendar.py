@@ -149,8 +149,14 @@ class TestCommitmentSurgery:
         calendar = CapacityCalendar(1000)
         a = calendar.admit(100, 0, 50)
         b = calendar.admit(200, 60, 90)
+        before = calendar.fingerprint()
         with pytest.raises(ValueError):
             calendar.fuse(a.commitment_id, b.commitment_id)
+        # A commitment fused with itself must not lose its record (and
+        # with it the only way to release its bandwidth).
+        with pytest.raises(ValueError):
+            calendar.fuse(a.commitment_id, a.commitment_id)
+        assert calendar.fingerprint() == before
         assert calendar.commitment_count == 2
 
     def test_invalid_split_leaves_commitment_intact(self):
@@ -222,6 +228,10 @@ class TestBulkPath:
             calendar.bulk_peak([0.0], [0.0])
         with pytest.raises(ValueError):
             calendar.bulk_peak([0.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            calendar.commit_batch([10], [0.0], [float("inf")])
+        assert calendar.commitment_count == 0
+        assert calendar.peak_commitment(0.0, 1e9) == 0
 
     def test_commit_batch_equals_sequential(self):
         rng = np.random.default_rng(11)

@@ -234,8 +234,12 @@ class TestSurgery:
         with pytest.raises(ValueError):
             calendar.split_bandwidth(spanning.commitment_id, 300)
         other = calendar.commit(100, 400, 500)
+        before = calendar.fingerprint()
         with pytest.raises(ValueError):
             calendar.fuse(spanning.commitment_id, other.commitment_id)
+        with pytest.raises(ValueError):
+            calendar.fuse(spanning.commitment_id, spanning.commitment_id)
+        assert calendar.fingerprint() == before
         assert calendar.commitment_count == 2
         assert calendar.peak_commitment(0, 600) == 300
 
